@@ -90,11 +90,11 @@ int main() {
 
   const double speedup = serial_s / best_parallel_s;
 
-  // ---- Batched SoA fluid engine vs scalar, single core --------------------
-  // The reference grid of the speedup gate: fluid-only cells that all share
-  // duration and step, so the whole grid batches. batch_cells = 1 forces
-  // the scalar FluidSimulation path; the default groups cells through
-  // core/batch_engine.h. Same bytes, or the speedup is worthless.
+  // ---- Fluid work-unit size, single core ---------------------------------
+  // Fluid-only cells run one cell per work unit (batch_cells = 1) and in the
+  // runner's preferred work units (batch_cells = 0). Both go through the
+  // one fluid integrator, so unit size must not change a byte; the time
+  // ratio is recorded, not gated.
   sweep::ParameterGrid fluid_grid = grid;
   fluid_grid.backends = {sweep::Backend::kFluid};
   fluid_grid.disciplines = {net::Discipline::kDropTail};
@@ -125,7 +125,7 @@ int main() {
   one_core.threads = 1;
   one_core.batch_cells = 1;
   const auto fluid_scalar = sweep::run_sweep(fluid_grid, base, one_core);
-  one_core.batch_cells = 0;  // the runner's preferred batch
+  one_core.batch_cells = 0;  // the runner's preferred work unit
   const auto fluid_batched = sweep::run_sweep(fluid_grid, base, one_core);
 
   std::ostringstream scalar_csv, batched_csv;
@@ -133,7 +133,7 @@ int main() {
   fluid_batched.write_csv(batched_csv);
   if (scalar_csv.str() != batched_csv.str()) {
     obs::log(obs::LogLevel::kError,
-             "FAIL: batched fluid results differ from scalar");
+             "FAIL: fluid results depend on the work-unit size");
     return 1;
   }
   const double batch_speedup =
@@ -158,7 +158,7 @@ int main() {
     gauges.push_back(gauge_of("packet", packet, base.duration_s));
   }
 
-  std::printf("%s", banner("Batched SoA fluid engine — " +
+  std::printf("%s", banner("Runner throughput — " +
                            std::to_string(fluid_grid.cardinality()) +
                            " cells, 1 thread").c_str());
   Table batch_table({"runner", "cells", "elapsed[s]", "cells/s",
@@ -170,24 +170,9 @@ int main() {
                          format_double(g.ns_per_sim_s, 0)});
   }
   std::printf("%s\n", batch_table.to_string().c_str());
-  std::printf("fluid batch speedup vs scalar: %.2fx (single core)\n\n",
+  std::printf("fluid preferred units vs one cell per unit: %.2fx "
+              "(single core)\n\n",
               batch_speedup);
-
-  // Regression floor, not the typical figure: the batch engine measures
-  // ~1.6-2x on this grid (see README § Performance — the bit-identity
-  // contract pins every floating-point operation of the scalar path, so
-  // batching can only remove allocation, call, and indexing overhead, and
-  // the scalar engine's per-step math is the majority of its runtime).
-  // The floor sits below the typical range so shared-runner noise doesn't
-  // flake the gate, but a batching regression to parity still fails.
-  const double kMinBatchSpeedup = 1.3;
-  if (!(batch_speedup >= kMinBatchSpeedup)) {
-    obs::log(obs::LogLevel::kError,
-             "FAIL: batched fluid engine %.2fx vs scalar, need >= "
-             "%.1fx on the reference grid",
-             batch_speedup, kMinBatchSpeedup);
-    return 1;
-  }
 
   // Cold vs. warm cell cache on the same grid: the cold run pays the
   // simulations once and fills the store; the warm run must reproduce the
@@ -347,7 +332,7 @@ int main() {
 
   // A scalar cell's instrumentation budget: the run + cache-probe spans,
   // the cells + cache-hit/miss counter bumps, and the wall-time histogram
-  // observation (engine-layer counters amortize over whole batches).
+  // observation (the engine's own span and step counters are not counted).
   const double trace_off_cell_ns =
       2.0 * span_ns + 2.0 * counter_ns + 1.0 * hist_ns;
   double fastest_cell_ns = 0.0;

@@ -23,6 +23,9 @@ FluidSimulation::FluidSimulation(net::Topology topology,
 
   loss_params_.rate_sharpness = config_.k_rate;
   loss_params_.fullness_exponent = config_.droptail_exponent;
+  for (std::size_t l = 0; l < n_links; ++l) {
+    links_.push_back(topology_.link(l));
+  }
 
   // History horizon: the largest propagation RTT plus margin. Queueing delay
   // never appears inside a delay argument in the model (§2: "we neglect
@@ -30,40 +33,67 @@ FluidSimulation::FluidSimulation(net::Topology topology,
   const double horizon = std::max(1e-3, 1.25 * topology_.max_rtt_prop_s());
 
   contexts_.resize(n_agents);
-  bottleneck_.resize(n_agents);
+  path_off_.push_back(0);
   for (std::size_t i = 0; i < n_agents; ++i) {
-    bottleneck_[i] = topology_.bottleneck_of(i);
-    contexts_[i].id = i;
-    contexts_[i].num_agents = n_agents;
-    contexts_[i].delays = topology_.path_delays(i);
-    contexts_[i].bottleneck_capacity_pps =
-        topology_.link(bottleneck_[i]).capacity_pps;
-    contexts_[i].config = &config_;
-    agents_[i]->init(contexts_[i]);
-    // Flows start at t = 0: zero rate pre-history; RTT pre-history is the
-    // uncongested path RTT.
-    rate_hist_.emplace_back(config_.step_s, horizon, 0.0);
-    rtt_hist_.emplace_back(config_.step_s, horizon,
-                           contexts_[i].delays.rtt_prop_s);
+    const std::size_t lb = topology_.bottleneck_of(i);
+    AgentContext& ctx = contexts_[i];
+    ctx.id = i;
+    ctx.num_agents = n_agents;
+    ctx.delays = topology_.path_delays(i);
+    ctx.bottleneck_capacity_pps = links_[lb].capacity_pps;
+    ctx.config = &config_;
+    agents_[i]->init(ctx);
+
+    const auto& path = topology_.path(i);
+    std::size_t lb_pos = 0;
+    for (std::size_t k = 0; k < path.size(); ++k) {
+      path_links_.push_back(static_cast<std::uint32_t>(path[k]));
+      fwd_tap_.push_back(tap_of(ctx.delays.forward_to_link_s[k]));
+      bwd_tap_.push_back(tap_of(ctx.delays.backward_from_link_s[k]));
+      if (path[k] == lb) lb_pos = k;
+    }
+    path_off_.push_back(static_cast<std::uint32_t>(path_links_.size()));
+    bottleneck_.push_back(static_cast<std::uint32_t>(lb));
+    rtt_tap_.push_back(tap_of(ctx.delays.rtt_prop_s));
+    back_tap_.push_back(tap_of(ctx.delays.backward_from_link_s[lb_pos]));
+
     // The inflight window looks back one RTT including queuing delay; size
     // generously (queuing delay ≤ B/C of each traversed link).
     double q_horizon = horizon;
-    for (std::size_t l : topology_.path(i)) {
-      q_horizon += topology_.link(l).buffer_pkts / topology_.link(l).capacity_pps;
+    for (std::size_t l : path) {
+      q_horizon += links_[l].buffer_pkts / links_[l].capacity_pps;
     }
     sent_hist_.emplace_back(config_.step_s, q_horizon, 0.0);
+  }
+  const std::size_t n_taps = tap_delay_.size();
+  tap_frac_.resize(n_taps);
+  tap_lo_.resize(n_taps);
+  tap_hi_.resize(n_taps);
+  tap_ok_.resize(n_taps);
+
+  // Flows start at t = 0: zero rate pre-history; RTT pre-history is the
+  // uncongested path RTT. Every row starts as the pre-history.
+  hcap_ = ode::history_capacity(config_.step_s, horizon);
+  link_sig_ = 2 * n_agents;
+  n_sig_ = link_sig_ + 3 * n_links;
+  sig_initial_.assign(n_sig_, 0.0);
+  for (std::size_t i = 0; i < n_agents; ++i) {
+    sig_initial_[2 * i + 1] = contexts_[i].delays.rtt_prop_s;
+  }
+  hist_.reserve(hcap_ * n_sig_);
+  for (std::size_t r = 0; r < hcap_; ++r) {
+    hist_.insert(hist_.end(), sig_initial_.begin(), sig_initial_.end());
   }
 
   queue_.assign(n_links, 0.0);
   link_acct_.assign(n_links, {});
-  for (std::size_t l = 0; l < n_links; ++l) {
-    arrival_hist_.emplace_back(config_.step_s, horizon, 0.0);
-    queue_hist_.emplace_back(config_.step_s, horizon, 0.0);
-    loss_hist_.emplace_back(config_.step_s, horizon, 0.0);
-  }
-
   sent_.assign(n_agents, 0.0);
   delivered_.assign(n_agents, 0.0);
+  arrivals_.resize(n_links);
+  losses_.resize(n_links);
+  qdelay_.resize(n_links);
+  rates_.resize(n_agents);
+  inputs_.resize(n_agents);
 
   steps_per_sample_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::round(config_.record_interval_s /
@@ -72,64 +102,115 @@ FluidSimulation::FluidSimulation(net::Topology topology,
       static_cast<double>(steps_per_sample_) * config_.step_s;
 }
 
+std::uint32_t FluidSimulation::tap_of(double delay) {
+  const auto it = std::find(tap_delay_.begin(), tap_delay_.end(), delay);
+  if (it != tap_delay_.end()) {
+    return static_cast<std::uint32_t>(it - tap_delay_.begin());
+  }
+  tap_delay_.push_back(delay);
+  return static_cast<std::uint32_t>(tap_delay_.size() - 1);
+}
+
 void FluidSimulation::run(double duration) {
   BBRM_REQUIRE_MSG(duration >= 0.0, "duration must be non-negative");
   const auto steps =
       static_cast<std::size_t>(std::llround(duration / config_.step_s));
+  trace_.samples.reserve(trace_.samples.size() + steps / steps_per_sample_ +
+                         1);
   for (std::size_t s = 0; s < steps; ++s) step();
+}
+
+// The split interpolate_at makes of t − delay, once per distinct delay: a
+// tap is ok when t − delay ≥ 0 and both samples are between 2 and hcap_
+// rows back, the only case in which interpolate_at clamps nothing.
+void FluidSimulation::compute_taps(double t) {
+  const double h = config_.step_s;
+  const auto total = static_cast<long long>(step_count_);
+  const auto hcap = static_cast<long long>(hcap_);
+  for (std::size_t j = 0; j < tap_delay_.size(); ++j) {
+    const double td = t - tap_delay_[j];
+    const double pos = td / h;
+    const double flo = std::floor(pos);
+    tap_frac_[j] = pos - flo;
+    const long long lag = total - static_cast<long long>(flo);
+    tap_ok_[j] = !(td < 0.0) && lag >= 2 && lag <= hcap;
+    if (tap_ok_[j]) {
+      long long row = static_cast<long long>(head_row_) - lag;
+      if (row < 0) row += hcap;
+      const std::size_t lo = static_cast<std::size_t>(row);
+      tap_lo_[j] = lo * n_sig_;
+      tap_hi_[j] = (lo + 1 == hcap_ ? 0 : lo + 1) * n_sig_;
+    }
+  }
+}
+
+// History column `sig` at t − tap_delay_[tap], bit for bit what
+// interpolate_at returns for it.
+inline double FluidSimulation::read(std::uint32_t sig, std::uint32_t tap,
+                                    double t) const {
+  if (tap_ok_[tap]) {
+    const double a = hist_[tap_lo_[tap] + sig];
+    const double b = hist_[tap_hi_[tap] + sig];
+    return a + (b - a) * tap_frac_[tap];
+  }
+  return ode::interpolate_at(
+      t - tap_delay_[tap], config_.step_s, step_count_, hcap_,
+      sig_initial_[sig], [&](std::size_t lag) {
+        const std::size_t row =
+            head_row_ > lag ? head_row_ - 1 - lag : head_row_ + hcap_ - 1 - lag;
+        return hist_[row * n_sig_ + sig];
+      });
 }
 
 void FluidSimulation::step() {
   const double t = now();
   const double h = config_.step_s;
   const std::size_t n_agents = agents_.size();
-  const std::size_t n_links = topology_.num_links();
+  const std::size_t n_links = links_.size();
+  const auto rate_sig = [](std::size_t i) {
+    return static_cast<std::uint32_t>(2 * i);
+  };
+  const auto link_sig = [this](std::size_t l, std::size_t field) {
+    return static_cast<std::uint32_t>(link_sig_ + 3 * l + field);
+  };
+  compute_taps(t);
 
   // (1) Link arrival rates y_ℓ(t) from delayed sending rates (Eq. 1).
-  std::vector<double> arrivals(n_links, 0.0);
+  std::fill(arrivals_.begin(), arrivals_.end(), 0.0);
   for (std::size_t i = 0; i < n_agents; ++i) {
-    const auto& path = topology_.path(i);
-    const auto& d = contexts_[i].delays;
-    for (std::size_t k = 0; k < path.size(); ++k) {
-      arrivals[path[k]] += rate_hist_[i].at(t - d.forward_to_link_s[k]);
+    for (std::uint32_t k = path_off_[i]; k < path_off_[i + 1]; ++k) {
+      arrivals_[path_links_[k]] += read(rate_sig(i), fwd_tap_[k], t);
     }
   }
 
-  // (2) Loss probabilities p_ℓ(t) under the configured discipline (Eqs. 4–6).
-  std::vector<double> losses(n_links, 0.0);
+  // (2) Loss probabilities p_ℓ(t) under the configured discipline (Eqs. 4–6),
+  // and each link's queueing delay q_ℓ/C_ℓ for the path RTTs below.
   for (std::size_t l = 0; l < n_links; ++l) {
-    losses[l] = net::link_loss(topology_.link(l), arrivals[l], queue_[l],
-                               loss_params_);
+    losses_[l] = net::link_loss(links_[l], arrivals_[l], queue_[l],
+                                loss_params_);
+    qdelay_[l] = queue_[l] / links_[l].capacity_pps;
   }
 
   // (3) Per-agent inputs and rates.
-  std::vector<AgentInputs> inputs(n_agents);
-  std::vector<double> rates(n_agents, 0.0);
   for (std::size_t i = 0; i < n_agents; ++i) {
-    const auto& path = topology_.path(i);
-    const auto& d = contexts_[i].delays;
-    AgentInputs& in = inputs[i];
+    const double rtt_prop = contexts_[i].delays.rtt_prop_s;
+    AgentInputs& in = inputs_[i];
     in.t = t;
 
     // Path RTT (Eq. 3): propagation both ways + forward queuing delay.
     double queueing = 0.0;
-    for (std::size_t l : path) {
-      queueing += queue_[l] / topology_.link(l).capacity_pps;
+    for (std::uint32_t k = path_off_[i]; k < path_off_[i + 1]; ++k) {
+      queueing += qdelay_[path_links_[k]];
     }
-    in.rtt = d.rtt_prop_s + queueing;
-    in.rtt_delayed = rtt_hist_[i].at(t - d.rtt_prop_s);
+    in.rtt = rtt_prop + queueing;
+    in.rtt_delayed = read(rate_sig(i) + 1, rtt_tap_[i], t);
 
     // Delivery rate (Eq. 17) at the agent's bottleneck link.
-    const std::size_t lb = bottleneck_[i];
-    std::size_t lb_pos = 0;
-    for (std::size_t k = 0; k < path.size(); ++k) {
-      if (path[k] == lb) lb_pos = k;
-    }
-    const double back = d.backward_from_link_s[lb_pos];
-    const double x_del = rate_hist_[i].at(t - d.rtt_prop_s);
-    const double y_del = arrival_hist_[lb].at(t - back);
-    const double q_del = queue_hist_[lb].at(t - back);
-    const double cap = topology_.link(lb).capacity_pps;
+    const std::uint32_t lb = bottleneck_[i];
+    const double x_del = read(rate_sig(i), rtt_tap_[i], t);
+    const double y_del = read(link_sig(lb, 0), back_tap_[i], t);
+    const double q_del = read(link_sig(lb, 1), back_tap_[i], t);
+    const double cap = links_[lb].capacity_pps;
     if (q_del > 1e-9 && y_del > 1e-12) {
       in.delivery_rate = x_del / y_del * cap;
     } else {
@@ -138,8 +219,8 @@ void FluidSimulation::step() {
 
     // Path loss delayed by one RTT (Eqs. 7, 39): Σ p_ℓ(t − d^b_{i,ℓ}).
     double loss = 0.0;
-    for (std::size_t k = 0; k < path.size(); ++k) {
-      loss += loss_hist_[path[k]].at(t - d.backward_from_link_s[k]);
+    for (std::uint32_t k = path_off_[i]; k < path_off_[i + 1]; ++k) {
+      loss += read(link_sig(path_links_[k], 2), bwd_tap_[k], t);
     }
     in.loss_delayed = std::min(1.0, loss);
     in.rate_delayed = x_del;
@@ -151,70 +232,64 @@ void FluidSimulation::step() {
 
     const double cap_rate =
         config_.max_rate_factor * contexts_[i].bottleneck_capacity_pps;
-    rates[i] = std::clamp(agents_[i]->sending_rate(in), 0.0, cap_rate);
+    rates_[i] = std::clamp(agents_[i]->sending_rate(in), 0.0, cap_rate);
   }
 
   // Record before state advances (sample reflects time t).
-  if (step_count_ % steps_per_sample_ == 0) {
-    record_sample(t, inputs, rates, arrivals, losses);
-  }
+  if (step_count_ % steps_per_sample_ == 0) record_sample(t);
 
-  // (4) Advance agent states and histories.
+  // (4) Advance agent states and histories; every fixed-horizon signal's
+  // time-t value lands in the matrix row of grid time t.
+  double* row = hist_.data() + head_row_ * n_sig_;
   for (std::size_t i = 0; i < n_agents; ++i) {
-    agents_[i]->advance(inputs[i], rates[i], h);
-    rate_hist_[i].push(rates[i]);
-    rtt_hist_[i].push(inputs[i].rtt);
+    agents_[i]->advance(inputs_[i], rates_[i], h);
+    row[rate_sig(i)] = rates_[i];
+    row[rate_sig(i) + 1] = inputs_[i].rtt;
     sent_hist_[i].push(sent_[i]);  // cumulative volume as of time t
-    sent_[i] += h * rates[i];
-    delivered_[i] += h * inputs[i].delivery_rate;
+    sent_[i] += h * rates_[i];
+    delivered_[i] += h * inputs_[i].delivery_rate;
   }
 
-  // (5) Advance queues (Eq. 2) and link accounting; push link histories with
-  // time-t values.
+  // (5) Advance queues (Eq. 2) and link accounting.
   for (std::size_t l = 0; l < n_links; ++l) {
-    const auto& link = topology_.link(l);
+    const net::Link& link = links_[l];
     LinkAccounting& acct = link_acct_[l];
-    acct.arrived_pkts += h * arrivals[l];
-    acct.lost_pkts += h * losses[l] * arrivals[l];
-    acct.served_pkts +=
-        h * net::service_rate(arrivals[l], link.capacity_pps, losses[l],
-                              queue_[l]);
+    acct.arrived_pkts += h * arrivals_[l];
+    acct.lost_pkts += h * losses_[l] * arrivals_[l];
+    acct.served_pkts += h * net::service_rate(arrivals_[l], link.capacity_pps,
+                                              losses_[l], queue_[l]);
     acct.queue_time_pkts_s += h * queue_[l];
 
-    arrival_hist_[l].push(arrivals[l]);
-    loss_hist_[l].push(losses[l]);
-    queue_hist_[l].push(queue_[l]);
+    row[link_sig(l, 0)] = arrivals_[l];
+    row[link_sig(l, 1)] = queue_[l];
+    row[link_sig(l, 2)] = losses_[l];
 
-    queue_[l] = net::step_queue(queue_[l], arrivals[l], link.capacity_pps,
-                                losses[l], link.buffer_pkts, h);
+    queue_[l] = net::step_queue(queue_[l], arrivals_[l], link.capacity_pps,
+                                losses_[l], link.buffer_pkts, h);
   }
 
+  if (++head_row_ == hcap_) head_row_ = 0;
   ++step_count_;
 }
 
-void FluidSimulation::record_sample(double t,
-                                    const std::vector<AgentInputs>& inputs,
-                                    const std::vector<double>& rates,
-                                    const std::vector<double>& arrivals,
-                                    const std::vector<double>& losses) {
-  FluidSample sample;
+void FluidSimulation::record_sample(double t) {
+  FluidSample& sample = trace_.samples.emplace_back();
   sample.t = t;
   sample.agents.resize(agents_.size());
   for (std::size_t i = 0; i < agents_.size(); ++i) {
     AgentSample& a = sample.agents[i];
-    a.rate_pps = rates[i];
-    a.delivery_rate_pps = inputs[i].delivery_rate;
-    a.rtt_s = inputs[i].rtt;
+    a.rate_pps = rates_[i];
+    a.delivery_rate_pps = inputs_[i].delivery_rate;
+    a.rtt_s = inputs_[i].rtt;
     a.cca = agents_[i]->telemetry();
   }
-  sample.links.resize(topology_.num_links());
-  for (std::size_t l = 0; l < topology_.num_links(); ++l) {
+  sample.links.resize(links_.size());
+  for (std::size_t l = 0; l < links_.size(); ++l) {
     LinkSample& ls = sample.links[l];
     ls.queue_pkts = queue_[l];
-    ls.loss_prob = losses[l];
-    ls.arrival_pps = arrivals[l];
+    ls.loss_prob = losses_[l];
+    ls.arrival_pps = arrivals_[l];
   }
-  trace_.samples.push_back(std::move(sample));
 }
 
 double FluidSimulation::queue_pkts(std::size_t link) const {

@@ -4,8 +4,15 @@
 // loss laws, latencies) with one FluidCca per agent (§3, Appendix B) and
 // integrates the resulting delay-differential system with the method of
 // steps (§4.1.1). Delayed signals are served from fixed-step histories.
+//
+// The step is laid out for a sweep's thousands of cells: paths are
+// flattened into index arrays, every fixed-horizon signal shares one
+// time-major history matrix (one row per grid time), the delayed reads at
+// constant delays go through a per-step tap table, and stepping allocates
+// nothing except the trace rows it records.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -33,6 +40,11 @@ class FluidSimulation {
   FluidSimulation(net::Topology topology,
                   std::vector<std::unique_ptr<FluidCca>> agents,
                   FluidConfig config = {});
+
+  /// Every agent keeps a pointer to this simulation's config
+  /// (AgentContext::config), so the simulation stays where it was built.
+  FluidSimulation(const FluidSimulation&) = delete;
+  FluidSimulation& operator=(const FluidSimulation&) = delete;
 
   /// Advance the simulation by `duration` seconds.
   void run(double duration);
@@ -65,41 +77,69 @@ class FluidSimulation {
   const FluidCca& cca(std::size_t agent) const;
 
  private:
+  std::uint32_t tap_of(double delay);
+  void compute_taps(double t);
+  double read(std::uint32_t sig, std::uint32_t tap, double t) const;
   void step();
-  void record_sample(double t,
-                     const std::vector<AgentInputs>& inputs,
-                     const std::vector<double>& rates,
-                     const std::vector<double>& arrivals,
-                     const std::vector<double>& losses);
+  void record_sample(double t);
 
   net::Topology topology_;
   std::vector<std::unique_ptr<FluidCca>> agents_;
   FluidConfig config_;
-
-  // Precomputed per-agent structure.
+  net::LossLawParams loss_params_;
   std::vector<AgentContext> contexts_;
-  std::vector<std::size_t> bottleneck_;
+  std::vector<net::Link> links_;
 
-  // Dynamic link state.
+  // Flattened paths: agent i's links, and the taps of their forward and
+  // backward delays, occupy [path_off_[i], path_off_[i + 1]).
+  std::vector<std::uint32_t> path_off_;
+  std::vector<std::uint32_t> path_links_;
+  std::vector<std::uint32_t> fwd_tap_;
+  std::vector<std::uint32_t> bwd_tap_;
+  // Per agent: bottleneck link, and the taps of the path RTT and of the
+  // backward delay from the bottleneck (its last position on the path).
+  std::vector<std::uint32_t> bottleneck_;
+  std::vector<std::uint32_t> rtt_tap_;
+  std::vector<std::uint32_t> back_tap_;
+
+  // Constant-delay taps: every delayed read except the inflight window
+  // uses a delay fixed at construction, and distinct delays are few. Each
+  // step splits t − delay into two history rows and a fraction once per
+  // distinct delay; a tap is "ok" when both rows lie inside the retained
+  // window, so a read is two loads and a lerp.
+  std::vector<double> tap_delay_;
+  std::vector<double> tap_frac_;
+  std::vector<std::size_t> tap_lo_;  // element offset of the older row
+  std::vector<std::size_t> tap_hi_;
+  std::vector<unsigned char> tap_ok_;
+
+  // Fixed-horizon histories, time-major: the row of grid time k holds every
+  // signal's sample (rate_i at 2i, rtt_i at 2i + 1, then arrival, queue and
+  // loss of link l at link_sig_ + 3l + 0/1/2), hcap_ rows in a ring.
+  std::vector<double> hist_;
+  std::vector<double> sig_initial_;  // per-column pre-history value
+  std::size_t hcap_ = 0;
+  std::size_t n_sig_ = 0;
+  std::size_t link_sig_ = 0;
+  std::size_t head_row_ = 0;  // row of the next push
+
+  // Cumulative sent volume ∫x_i; its lookback (one RTT including queueing)
+  // varies, so it keeps per-agent histories.
+  std::vector<ode::DelayHistory> sent_hist_;
+
+  // Dynamic state and accounting.
   std::vector<double> queue_;  // q_ℓ(t)
-
-  // Histories (method of steps).
-  std::vector<ode::DelayHistory> rate_hist_;   // x_i
-  std::vector<ode::DelayHistory> rtt_hist_;    // τ_i
-  std::vector<ode::DelayHistory> sent_hist_;   // ∫x_i (cumulative volume)
-  std::vector<ode::DelayHistory> arrival_hist_;  // y_ℓ
-  std::vector<ode::DelayHistory> queue_hist_;    // q_ℓ
-  std::vector<ode::DelayHistory> loss_hist_;     // p_ℓ
-
-  // Accounting.
   std::vector<double> sent_;
   std::vector<double> delivered_;
   std::vector<LinkAccounting> link_acct_;
 
+  // Step scratch, sized once.
+  std::vector<double> arrivals_, losses_, qdelay_, rates_;
+  std::vector<AgentInputs> inputs_;
+
   FluidTrace trace_;
   std::size_t step_count_ = 0;
   std::size_t steps_per_sample_ = 1;
-  net::LossLawParams loss_params_;
 };
 
 }  // namespace bbrmodel::core

@@ -10,16 +10,15 @@ namespace bbrmodel::metrics {
 namespace {
 
 /// Linear interpolation of an agent's RTT from the recorded trace.
-double rtt_at(const FluidCellView& view, std::size_t agent, double t) {
-  const double dt = view.sample_interval_s;
-  const double pos = t / dt;
+double rtt_at(const core::FluidTrace& trace, std::size_t agent, double t) {
+  const std::size_t n = trace.samples.size();
+  const double pos = t / trace.sample_interval_s;
   const auto lo = static_cast<std::size_t>(
-      std::clamp(std::floor(pos), 0.0,
-                 static_cast<double>(view.num_samples - 1)));
-  const std::size_t hi = std::min(lo + 1, view.num_samples - 1);
+      std::clamp(std::floor(pos), 0.0, static_cast<double>(n - 1)));
+  const std::size_t hi = std::min(lo + 1, n - 1);
   const double frac = std::clamp(pos - static_cast<double>(lo), 0.0, 1.0);
-  const double a = view.rtt_samples[lo * view.num_agents + agent];
-  const double b = view.rtt_samples[hi * view.num_agents + agent];
+  const double a = trace.samples[lo].agents[agent].rtt_s;
+  const double b = trace.samples[hi].agents[agent].rtt_s;
   return a + (b - a) * frac;
 }
 
@@ -34,94 +33,64 @@ double jitter_of_series_ms(const std::vector<double>& rtt_s) {
   return acc / static_cast<double>(rtt_s.size() - 1) * 1e3;
 }
 
-AggregateMetrics evaluate_fluid_cell(const FluidCellView& view,
-                                     double virtual_packet_pkts) {
-  const double duration = view.duration_s;
+AggregateMetrics evaluate_fluid(const core::FluidSimulation& sim,
+                                std::size_t bottleneck_link,
+                                double virtual_packet_pkts) {
+  const double duration = sim.now();
   BBRM_REQUIRE_MSG(duration > 0.0, "simulation has not run");
+  const std::size_t n_agents = sim.num_agents();
+  const net::Topology& topology = sim.topology();
+  const net::Link& bottleneck = topology.link(bottleneck_link);
+  const core::LinkAccounting& bottleneck_acct =
+      sim.link_accounting(bottleneck_link);
   AggregateMetrics out;
 
   // Per-flow mean sending rates and Jain fairness.
-  out.mean_rate_pps.resize(view.num_agents);
-  for (std::size_t i = 0; i < view.num_agents; ++i) {
-    out.mean_rate_pps[i] = view.sent_pkts[i] / duration;
+  out.mean_rate_pps.resize(n_agents);
+  for (std::size_t i = 0; i < n_agents; ++i) {
+    out.mean_rate_pps[i] = sim.sent_pkts(i) / duration;
   }
   out.jain = jain_index(out.mean_rate_pps);
 
   // Loss: all dropped volume over all sent volume.
   double lost = 0.0;
   double sent = 0.0;
-  for (std::size_t l = 0; l < view.num_links; ++l) {
-    lost += view.link_acct[l].lost_pkts;
+  for (std::size_t l = 0; l < topology.num_links(); ++l) {
+    lost += sim.link_accounting(l).lost_pkts;
   }
-  for (std::size_t i = 0; i < view.num_agents; ++i) {
-    sent += view.sent_pkts[i];
+  for (std::size_t i = 0; i < n_agents; ++i) {
+    sent += sim.sent_pkts(i);
   }
   out.loss_pct = sent > 0.0 ? 100.0 * lost / sent : 0.0;
 
   // Occupancy and utilization at the bottleneck.
-  if (view.bottleneck_buffer_pkts > 0.0) {
+  if (bottleneck.buffer_pkts > 0.0) {
     out.occupancy_pct = 100.0 *
-                        (view.bottleneck_acct().queue_time_pkts_s / duration) /
-                        view.bottleneck_buffer_pkts;
+                        (bottleneck_acct.queue_time_pkts_s / duration) /
+                        bottleneck.buffer_pkts;
   }
-  out.utilization_pct = 100.0 * view.bottleneck_acct().served_pkts /
-                        (view.bottleneck_capacity_pps * duration);
+  out.utilization_pct = 100.0 * bottleneck_acct.served_pkts /
+                        (bottleneck.capacity_pps * duration);
 
   // Jitter (§4.3.5): sample each agent's RTT at the virtual packet rate
   // g·N/C and average the per-agent jitters.
-  if (view.num_samples >= 2) {
+  const core::FluidTrace& trace = sim.trace();
+  if (trace.samples.size() >= 2) {
     const double spacing = virtual_packet_pkts *
-                           static_cast<double>(view.num_agents) /
-                           view.bottleneck_capacity_pps;
+                           static_cast<double>(n_agents) /
+                           bottleneck.capacity_pps;
     RunningStats per_agent;
-    for (std::size_t i = 0; i < view.num_agents; ++i) {
-      std::vector<double> series;
+    std::vector<double> series;
+    for (std::size_t i = 0; i < n_agents; ++i) {
+      series.clear();
       for (double t = 0.0; t <= duration; t += spacing) {
-        series.push_back(rtt_at(view, i, t));
+        series.push_back(rtt_at(trace, i, t));
       }
       per_agent.add(jitter_of_series_ms(series));
     }
     out.jitter_ms = per_agent.mean();
   }
   return out;
-}
-
-AggregateMetrics evaluate_fluid(const core::FluidSimulation& sim,
-                                std::size_t bottleneck_link,
-                                double virtual_packet_pkts) {
-  // Flatten the simulation into a FluidCellView (bitwise copies only) so
-  // the scalar and batch engines share one metrics implementation.
-  std::vector<double> sent(sim.num_agents());
-  for (std::size_t i = 0; i < sim.num_agents(); ++i) {
-    sent[i] = sim.sent_pkts(i);
-  }
-  std::vector<core::LinkAccounting> acct(sim.topology().num_links());
-  for (std::size_t l = 0; l < sim.topology().num_links(); ++l) {
-    acct[l] = sim.link_accounting(l);
-  }
-  const auto& trace = sim.trace();
-  std::vector<double> rtt(trace.samples.size() * sim.num_agents());
-  for (std::size_t s = 0; s < trace.samples.size(); ++s) {
-    for (std::size_t i = 0; i < sim.num_agents(); ++i) {
-      rtt[s * sim.num_agents() + i] = trace.samples[s].agents[i].rtt_s;
-    }
-  }
-
-  FluidCellView view;
-  view.duration_s = sim.now();
-  view.num_agents = sim.num_agents();
-  view.num_links = sim.topology().num_links();
-  view.sent_pkts = sent.data();
-  view.link_acct = acct.data();
-  view.bottleneck_link = bottleneck_link;
-  view.bottleneck_capacity_pps =
-      sim.topology().link(bottleneck_link).capacity_pps;
-  view.bottleneck_buffer_pkts =
-      sim.topology().link(bottleneck_link).buffer_pkts;
-  view.sample_interval_s = trace.sample_interval_s;
-  view.num_samples = trace.samples.size();
-  view.rtt_samples = rtt.data();
-  return evaluate_fluid_cell(view, virtual_packet_pkts);
 }
 
 }  // namespace bbrmodel::metrics

@@ -40,34 +40,6 @@ AggregateMetrics evaluate_fluid(const core::FluidSimulation& sim,
                                 std::size_t bottleneck_link,
                                 double virtual_packet_pkts = 1.0);
 
-/// A flattened read-only view of one finished fluid cell: everything the
-/// aggregate metrics consume, detached from which engine produced it.
-/// evaluate_fluid builds one from a FluidSimulation and the batch engine
-/// builds one per cell, so both engines flow through the identical
-/// arithmetic in evaluate_fluid_cell and yield byte-identical metrics.
-struct FluidCellView {
-  double duration_s = 0.0;
-  std::size_t num_agents = 0;
-  std::size_t num_links = 0;
-  const double* sent_pkts = nullptr;                ///< [num_agents]
-  const core::LinkAccounting* link_acct = nullptr;  ///< [num_links]
-  std::size_t bottleneck_link = 0;
-  double bottleneck_capacity_pps = 0.0;
-  double bottleneck_buffer_pkts = 0.0;
-  const core::LinkAccounting& bottleneck_acct() const {
-    return link_acct[bottleneck_link];
-  }
-  /// RTT trace on the engine's sampling grid, sample-major:
-  /// rtt_samples[s * num_agents + i] = samples[s].agents[i].rtt_s.
-  double sample_interval_s = 0.0;
-  std::size_t num_samples = 0;
-  const double* rtt_samples = nullptr;
-};
-
-/// The shared implementation behind evaluate_fluid (see FluidCellView).
-AggregateMetrics evaluate_fluid_cell(const FluidCellView& view,
-                                     double virtual_packet_pkts = 1.0);
-
 /// Jitter of one RTT series sampled at a fixed spacing (helper; exposed for
 /// tests). Returns mean |τ_{k+1} − τ_k| in milliseconds.
 double jitter_of_series_ms(const std::vector<double>& rtt_s);

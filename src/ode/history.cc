@@ -1,55 +1,18 @@
 #include "ode/history.h"
 
-#include <cmath>
-
 #include "common/require.h"
 
 namespace bbrmodel::ode {
 
-DelayHistory::DelayHistory(double step, double horizon, double initial)
-    : step_(step), initial_(initial) {
+std::size_t history_capacity(double step, double horizon) {
   BBRM_REQUIRE_MSG(step > 0.0, "history step must be positive");
   BBRM_REQUIRE_MSG(horizon >= 0.0, "history horizon must be non-negative");
-  capacity_ = static_cast<std::size_t>(std::ceil(horizon / step)) + 2;
-  ring_.assign(capacity_, initial);
+  return static_cast<std::size_t>(std::ceil(horizon / step)) + 2;
 }
 
-void DelayHistory::push(double value) {
-  ring_[total_ % capacity_] = value;
-  ++total_;
-}
-
-double DelayHistory::latest() const {
-  if (total_ == 0) return initial_;
-  return ring_[(total_ - 1) % capacity_];
-}
-
-double DelayHistory::now() const {
-  return (static_cast<double>(total_) - 1.0) * step_;
-}
-
-double DelayHistory::at(double t) const {
-  if (total_ == 0 || t < 0.0) return initial_;
-  const double pos = t / step_;
-  const auto lo_idx = static_cast<long long>(std::floor(pos));
-  const double frac = pos - static_cast<double>(lo_idx);
-  const long long newest = static_cast<long long>(total_) - 1;
-  const long long oldest =
-      std::max<long long>(0, static_cast<long long>(total_) -
-                                 static_cast<long long>(capacity_));
-  auto sample = [&](long long k) -> double {
-    if (k < 0) return initial_;
-    if (k > newest) k = newest;
-    if (k < oldest) k = oldest;
-    return ring_[static_cast<std::size_t>(k) % capacity_];
-  };
-  const double a = sample(lo_idx);
-  const double b = sample(lo_idx + 1);
-  return a + (b - a) * frac;
-}
-
-double DelayHistory::horizon() const {
-  return static_cast<double>(capacity_ - 2) * step_;
-}
+DelayHistory::DelayHistory(double step, double horizon, double initial)
+    : step_(step),
+      initial_(initial),
+      ring_(history_capacity(step, horizon), initial) {}
 
 }  // namespace bbrmodel::ode

@@ -1901,8 +1901,8 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
           }
         } else {
           // Group the unit's cells through one run_tasks call so a
-          // batch-capable runner integrates compatible cells in lockstep
-          // (bitwise identical to the cell-at-a-time path, just faster).
+          // batch-capable runner takes them in work units (bitwise
+          // identical to the cell-at-a-time path).
           // run_tasks wants strictly increasing task indices; a claim's
           // members may be coalesced singles in any order.
           std::vector<std::size_t> ordered(claim->indices);

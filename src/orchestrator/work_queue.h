@@ -506,13 +506,12 @@ struct WorkerConfig {
   /// Cells per claimed unit (>= 1): pending singles are coalesced into
   /// one leased batch, pre-chunked batches bigger than this are trimmed.
   std::size_t batch = 1;
-  /// Cells per batched runner invocation inside a claimed unit, forwarded
-  /// to sweep::SweepOptions::batch_cells. With a value > 1 (or 0 = the
-  /// runner's preferred batch) the cells of a claimed unit are executed
-  /// through one run_tasks call, so batch-capable runners integrate
-  /// compatible cells in lockstep; 1 keeps the historical cell-at-a-time
-  /// execution. Either way results are published per cell and remain
-  /// bitwise identical — batching never changes a byte, only throughput.
+  /// Cells per work unit inside a claimed unit, forwarded to
+  /// sweep::SweepOptions::batch_cells. With a value > 1 (or 0 = the
+  /// runner's preferred unit size) the cells of a claimed unit go through
+  /// one run_tasks call, whose batch-capable runners take several cells
+  /// per call; 1 runs and publishes one cell at a time. Either way results
+  /// are published per cell and are bitwise identical.
   std::size_t batch_cells = 1;
   /// Write workers/<id>.stats on every heartbeat tick (live dashboards).
   bool stats = false;

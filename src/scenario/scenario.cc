@@ -5,7 +5,6 @@
 #include "cca/cubic.h"
 #include "cca/reno.h"
 #include "common/require.h"
-#include "core/batch_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "packetsim/bbr1_cca.h"
@@ -199,77 +198,10 @@ metrics::AggregateMetrics run_fluid(const ExperimentSpec& spec) {
 std::vector<metrics::AggregateMetrics> run_fluid_batch(
     const std::vector<const ExperimentSpec*>& specs) {
   std::vector<metrics::AggregateMetrics> out;
-  if (specs.empty()) return out;
+  out.reserve(specs.size());
   for (const ExperimentSpec* spec : specs) {
     BBRM_REQUIRE_MSG(spec != nullptr, "null spec in fluid batch");
-    BBRM_REQUIRE_MSG(spec->duration_s == specs.front()->duration_s &&
-                         spec->fluid.step_s == specs.front()->fluid.step_s,
-                     "a fluid batch must share duration and step size");
-  }
-
-  core::BatchFluidEngine engine;
-  std::vector<std::size_t> bottleneck_links;
-  bottleneck_links.reserve(specs.size());
-  for (const ExperimentSpec* spec : specs) {
-    const auto ds = dumbbell_spec(*spec);
-    auto dumbbell = net::make_dumbbell(ds);
-    std::vector<std::unique_ptr<core::FluidCca>> agents;
-    agents.reserve(spec->mix.flows.size());
-    for (std::size_t i = 0; i < spec->mix.flows.size(); ++i) {
-      core::BbrInit init;
-      if (spec->bbr_init) init = spec->bbr_init(i);
-      agents.push_back(make_fluid_cca(spec->mix.flows[i], init));
-    }
-    bottleneck_links.push_back(dumbbell.bottleneck_link);
-    engine.add_cell(std::move(dumbbell.topology), std::move(agents),
-                    spec->fluid);
-  }
-
-  {
-    obs::Span span("fluid-batch-run", "engine");
-    span.arg("cells", static_cast<std::uint64_t>(specs.size()));
-    engine.run(specs.front()->duration_s);
-    span.arg("steps", static_cast<std::uint64_t>(engine.total_steps()));
-    span.arg("rhs_evals", static_cast<std::uint64_t>(engine.total_rhs_evals()));
-  }
-  fluid_step_counter().add(engine.total_steps());
-  rhs_eval_counter().add(engine.total_rhs_evals());
-
-  out.reserve(specs.size());
-  for (std::size_t cell = 0; cell < specs.size(); ++cell) {
-    const std::size_t n_agents = engine.num_agents(cell);
-    const std::size_t n_links = engine.num_links(cell);
-    std::vector<double> sent(n_agents);
-    for (std::size_t i = 0; i < n_agents; ++i) {
-      sent[i] = engine.sent_pkts(cell, i);
-    }
-    std::vector<core::LinkAccounting> acct(n_links);
-    for (std::size_t l = 0; l < n_links; ++l) {
-      acct[l] = engine.link_accounting(cell, l);
-    }
-    const std::size_t n_samples = engine.num_samples(cell);
-    std::vector<double> rtt(n_samples * n_agents);
-    for (std::size_t s = 0; s < n_samples; ++s) {
-      for (std::size_t i = 0; i < n_agents; ++i) {
-        rtt[s * n_agents + i] = engine.rtt_sample(cell, s, i);
-      }
-    }
-
-    metrics::FluidCellView view;
-    view.duration_s = engine.now(cell);
-    view.num_agents = n_agents;
-    view.num_links = n_links;
-    view.sent_pkts = sent.data();
-    view.link_acct = acct.data();
-    view.bottleneck_link = bottleneck_links[cell];
-    view.bottleneck_capacity_pps =
-        engine.link(cell, bottleneck_links[cell]).capacity_pps;
-    view.bottleneck_buffer_pkts =
-        engine.link(cell, bottleneck_links[cell]).buffer_pkts;
-    view.sample_interval_s = engine.sample_interval_s(cell);
-    view.num_samples = n_samples;
-    view.rtt_samples = rtt.data();
-    out.push_back(metrics::evaluate_fluid_cell(view));
+    out.push_back(run_fluid(*spec));
   }
   return out;
 }

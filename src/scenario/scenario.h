@@ -85,11 +85,9 @@ PacketSetup build_packet(const ExperimentSpec& spec);
 /// Run the fluid side and return the paper's five aggregate metrics.
 metrics::AggregateMetrics run_fluid(const ExperimentSpec& spec);
 
-/// Run a batch of fluid experiments through the lockstep SoA engine
-/// (core/batch_engine.h) and return one metrics entry per spec, in order.
-/// Every spec must share duration_s and fluid.step_s (the batch integrates
-/// one time grid). Results are bitwise identical to run_fluid on each spec
-/// — that contract is what lets the sweep layer batch transparently.
+/// Run several fluid experiments, one after another, and return one
+/// metrics entry per spec, in order: run_fluid on each spec. The sweep
+/// layer hands it one work unit's cells at a time.
 std::vector<metrics::AggregateMetrics> run_fluid_batch(
     const std::vector<const ExperimentSpec*>& specs);
 

@@ -88,9 +88,9 @@ metrics::AggregateMetrics run_backend_cell(const SweepTask& task) {
   return metrics::AggregateMetrics{};
 }
 
-// How many fluid cells to integrate in lockstep by default. Eight keeps the
-// per-cell working set (rate/RTT/queue rings) inside L2 on typical grids
-// while amortizing the time-loop overhead; measured ≥4× over scalar.
+// Fluid cells per work unit by default. A unit only sets how many cells
+// one worker call runs back to back; plan_units shrinks units further so a
+// small grid still spreads over every thread.
 constexpr std::size_t kFluidBatch = 8;
 
 }  // namespace

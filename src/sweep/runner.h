@@ -9,14 +9,13 @@
 // the content-addressed cell cache, shard-invariant CSV/JSON — works for
 // any of them.
 //
-// PR 6 makes runners batch-aware. A runner still always provides a scalar
-// `run_one`; it may additionally provide `run_batch`, which integrates K
-// compatible cells in lockstep (see core/batch_engine.h) and must return
-// results bitwise identical to calling `run_one` per cell. The scheduler
-// treats batching purely as an optimization: per-cell cache lookups,
-// retries, timeouts and statuses are decided cell by cell, and a failing
-// batch degrades to scalar runs. Runners built with make_runner (benches,
-// tests) are scalar-only and behave exactly as before.
+// A runner always provides a scalar `run_one`; it may additionally
+// provide `run_batch`, which takes one work unit of several cells and
+// must return results bitwise identical to calling `run_one` per cell.
+// The scheduler treats work units purely as a scheduling choice:
+// per-cell cache lookups, retries, timeouts and statuses are decided
+// cell by cell, and a failing unit degrades to scalar runs. Runners built
+// with make_runner (benches, tests) are scalar-only.
 //
 // A runner's `name` doubles as its cache namespace: cells are addressed by
 // (runner name, backend, canonical spec bytes), so only named runners
@@ -40,10 +39,10 @@ namespace bbrmodel::sweep {
 /// task (the byte-reproducibility contract extends through runners).
 using RunnerFn = std::function<metrics::AggregateMetrics(const SweepTask&)>;
 
-/// Maps a batch of tasks to one metrics entry per task, in order. The
-/// results must be bitwise identical to applying the scalar RunnerFn to
-/// each task — batching is an optimization, never a semantic change. May
-/// throw; the scheduler then retries every cell through the scalar path.
+/// Maps one work unit of tasks to one metrics entry per task, in order.
+/// The results must be bitwise identical to applying the scalar RunnerFn
+/// to each task — unit size never changes a result. May throw; the
+/// scheduler then retries every cell through the scalar path.
 using BatchRunnerFn = std::function<std::vector<metrics::AggregateMetrics>(
     const std::vector<const SweepTask*>&)>;
 
@@ -62,7 +61,7 @@ struct Runner {
   /// dispatcher batches only fluid cells). Null = every task is eligible
   /// whenever run_batch exists.
   std::function<bool(const SweepTask&)> batchable;
-  /// Preferred cells per batch when the caller does not specify one.
+  /// Preferred cells per work unit when the caller does not specify one.
   std::size_t preferred_batch = 1;
 
   explicit operator bool() const { return static_cast<bool>(run_one); }
@@ -83,8 +82,8 @@ inline Runner make_runner(std::string name, RunnerFn fn) {
 }
 
 /// Fluid-model ("Model") runner: scenario::run_fluid on the task's spec,
-/// regardless of task.backend. Batch-capable: compatible cells integrate in
-/// lockstep through the SoA engine with bitwise-identical results.
+/// regardless of task.backend. Batch-capable: run_batch runs a work unit's
+/// cells one after another (scenario::run_fluid_batch).
 Runner fluid_runner();
 
 /// Packet-simulator ("Experiment") runner: scenario::run_packet.

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <future>
 #include <limits>
 #include <thread>
@@ -185,17 +184,10 @@ struct WorkUnit {
   bool batched = false;
 };
 
-std::uint64_t double_bits(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  return bits;
-}
-
 /// Group tasks into work units. Batch-eligible tasks (runner.can_batch,
-/// batching enabled) group by exact (duration_s, step_s) bits — the batch
-/// engine integrates one shared time grid — and split into units of at
-/// most `unit_cells`, sized so small grids still fan out across all
-/// workers instead of collapsing into one big batch. Everything else is a
+/// batching enabled) split, in task order, into units of at most
+/// `unit_cells`, sized so small grids still fan out across all workers
+/// instead of collapsing into one big unit. Everything else is a
 /// singleton unit. Unit layout never affects output bytes (see sweep.h).
 std::vector<WorkUnit> plan_units(const std::vector<SweepTask>& tasks,
                                  const Runner& runner,
@@ -204,53 +196,33 @@ std::vector<WorkUnit> plan_units(const std::vector<SweepTask>& tasks,
   const std::size_t requested = options.batch_cells == 0
                                     ? runner.preferred_batch
                                     : options.batch_cells;
-  // A per-attempt timeout fences each cell on its own thread; lockstep
-  // batches cannot honor that, so the scalar path takes over.
+  // A per-attempt timeout fences each cell on its own thread; a unit run
+  // cannot honor that, so the scalar path takes over.
   const bool batching =
       runner.run_batch && requested > 1 && options.timeout_s <= 0.0;
 
   std::vector<WorkUnit> units;
   units.reserve(tasks.size());
-
-  struct Group {
-    std::uint64_t duration_bits;
-    std::uint64_t step_bits;
-    std::vector<std::size_t> members;
-  };
-  std::vector<Group> groups;
-
+  std::vector<std::size_t> batchable;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (!batching || !runner.can_batch(tasks[i])) {
+    if (batching && runner.can_batch(tasks[i])) {
+      batchable.push_back(i);
+    } else {
       units.push_back({{i}, false});
-      continue;
     }
-    const std::uint64_t dur = double_bits(tasks[i].spec.duration_s);
-    const std::uint64_t step = double_bits(tasks[i].spec.fluid.step_s);
-    auto it = std::find_if(groups.begin(), groups.end(), [&](const Group& g) {
-      return g.duration_bits == dur && g.step_bits == step;
-    });
-    if (it == groups.end()) {
-      groups.push_back({dur, step, {}});
-      it = groups.end() - 1;
-    }
-    it->members.push_back(i);
   }
 
-  for (const auto& group : groups) {
-    const std::size_t n = group.members.size();
-    // Keep every worker busy: never batch so coarsely that a small grid
-    // serializes onto fewer threads than the pool has.
-    const std::size_t lanes = std::max<std::size_t>(1, std::min(n, workers));
-    const std::size_t unit_cells =
-        std::min(requested, (n + lanes - 1) / lanes);
-    for (std::size_t at = 0; at < n; at += unit_cells) {
-      WorkUnit unit;
-      const std::size_t end = std::min(n, at + unit_cells);
-      unit.members.assign(group.members.begin() + at,
-                          group.members.begin() + end);
-      unit.batched = unit.members.size() > 1;
-      units.push_back(std::move(unit));
-    }
+  const std::size_t n = batchable.size();
+  // Keep every worker busy: never batch so coarsely that a small grid
+  // serializes onto fewer threads than the pool has.
+  const std::size_t lanes = std::max<std::size_t>(1, std::min(n, workers));
+  const std::size_t unit_cells = std::min(requested, (n + lanes - 1) / lanes);
+  for (std::size_t at = 0; at < n; at += unit_cells) {
+    WorkUnit unit;
+    unit.members.assign(batchable.begin() + at,
+                        batchable.begin() + std::min(n, at + unit_cells));
+    unit.batched = unit.members.size() > 1;
+    units.push_back(std::move(unit));
   }
   return units;
 }

@@ -68,13 +68,13 @@ struct SweepOptions {
   /// Runner invocations per task before reporting failure (>= 1).
   /// Retries cover thrown failures, not timeouts (see timeout_s).
   std::size_t max_attempts = 1;
-  /// Cells per batched runner invocation when the runner supports batching
-  /// (Runner::run_batch): 0 = the runner's preferred_batch, 1 = disable
-  /// batching, K = group up to K compatible cells per call. Batching is an
-  /// optimization only — results are bitwise identical to scalar runs, a
-  /// failing batch degrades to per-cell scalar retries, cache lookups stay
-  /// per cell, and a per-attempt timeout (timeout_s > 0) forces the scalar
-  /// path so each cell keeps its own wall-clock fence.
+  /// Cells per work unit handed to Runner::run_batch when the runner has
+  /// one: 0 = the runner's preferred_batch, 1 = one cell per unit through
+  /// run_one, K = up to K eligible cells per unit. Unit size only decides
+  /// how cells are scheduled — results are bitwise identical for every
+  /// size, a failing unit degrades to per-cell scalar retries, cache
+  /// lookups stay per cell, and a per-attempt timeout (timeout_s > 0)
+  /// forces one cell per unit so each cell keeps its own wall-clock fence.
   std::size_t batch_cells = 0;
   /// Memoize (runner, backend, spec) cells here; nullptr disables. Only
   /// named runners and cacheable specs participate.

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/require.h"
 #include "common/units.h"
@@ -14,6 +15,11 @@ namespace {
 
 using scenario::CcaKind;
 using scenario::ExperimentSpec;
+
+// Agents hold a pointer to their simulation's config, so a moved or copied
+// simulation would leave them reading the old object's.
+static_assert(!std::is_move_constructible_v<core::FluidSimulation>);
+static_assert(!std::is_copy_constructible_v<core::FluidSimulation>);
 
 ExperimentSpec base_spec(CcaKind kind, std::size_t n, double buffer_bdp,
                          net::Discipline disc = net::Discipline::kDropTail) {

@@ -1,0 +1,238 @@
+// Golden bytes of the fluid model.
+//
+// Each digest below is an FNV-1a 64 hash of output the fluid integrator
+// produced when it was recorded: sweep CSV/JSON bytes, every double of a
+// simulation trace, and a parking-lot runner row. A refactor of the
+// integrator, the queue laws, the delay histories or the metric
+// evaluation must leave every digest unchanged; a change in any ULP of
+// any recorded value shows up here. Update a constant only for an
+// intended change of the model's numbers, and say so where it lands.
+
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/hash.h"
+#include "common/units.h"
+#include "core/engine.h"
+#include "net/topology.h"
+#include "scenario/scenario.h"
+#include "sweep/parameter_grid.h"
+#include "sweep/runner.h"
+#include "sweep/sweep.h"
+#include "sweep/workloads.h"
+
+namespace bbrmodel {
+namespace {
+
+/// FNV-1a 64 over a stream of values. Doubles contribute their IEEE-754
+/// bit pattern in little-endian byte order, so the digest is the same on
+/// every host that computes the same doubles.
+class Digest {
+ public:
+  void add(std::uint64_t v) {
+    unsigned char bytes[8];
+    for (int k = 0; k < 8; ++k) {
+      bytes[k] = static_cast<unsigned char>(v >> (8 * k));
+    }
+    hash_ = fnv1a64_bytes(bytes, sizeof bytes, hash_);
+  }
+  void add(double v) {
+    std::uint64_t bits = 0;
+    static_assert(sizeof bits == sizeof v, "IEEE-754 double expected");
+    std::memcpy(&bits, &v, sizeof bits);
+    add(bits);
+  }
+  void add(bool v) { add(std::uint64_t{v ? 1u : 0u}); }
+  void add(const std::string& bytes) { hash_ = fnv1a64(bytes, hash_); }
+
+  std::string hex() const { return hex64(hash_); }
+
+ private:
+  std::uint64_t hash_ = kFnv1a64Offset;
+};
+
+/// Every double a finished simulation exposes: the full trace (each agent
+/// sample with all CCA telemetry, each link sample) and the cumulative
+/// per-agent and per-link accounting.
+std::string simulation_digest(const core::FluidSimulation& sim) {
+  Digest d;
+  const auto& trace = sim.trace();
+  d.add(trace.sample_interval_s);
+  d.add(static_cast<std::uint64_t>(trace.samples.size()));
+  for (const auto& sample : trace.samples) {
+    d.add(sample.t);
+    d.add(static_cast<std::uint64_t>(sample.agents.size()));
+    for (const auto& a : sample.agents) {
+      d.add(a.rate_pps);
+      d.add(a.delivery_rate_pps);
+      d.add(a.rtt_s);
+      d.add(a.cca.btl_estimate_pps);
+      d.add(a.cca.max_measurement_pps);
+      d.add(a.cca.cwnd_pkts);
+      d.add(a.cca.inflight_pkts);
+      d.add(a.cca.min_rtt_estimate_s);
+      d.add(a.cca.inflight_hi_pkts);
+      d.add(a.cca.inflight_lo_pkts);
+      d.add(a.cca.probe_rtt);
+      d.add(a.cca.probe_down);
+      d.add(a.cca.cruising);
+    }
+    d.add(static_cast<std::uint64_t>(sample.links.size()));
+    for (const auto& l : sample.links) {
+      d.add(l.queue_pkts);
+      d.add(l.loss_prob);
+      d.add(l.arrival_pps);
+    }
+  }
+  for (std::size_t i = 0; i < sim.num_agents(); ++i) {
+    d.add(sim.sent_pkts(i));
+    d.add(sim.delivered_pkts(i));
+  }
+  for (std::size_t l = 0; l < sim.topology().num_links(); ++l) {
+    const auto& acct = sim.link_accounting(l);
+    d.add(acct.arrived_pkts);
+    d.add(acct.lost_pkts);
+    d.add(acct.served_pkts);
+    d.add(acct.queue_time_pkts_s);
+    d.add(sim.queue_pkts(l));
+  }
+  return d.hex();
+}
+
+/// Run in two calls, so state carried across run() boundaries is covered.
+void run_split(core::FluidSimulation& sim) {
+  sim.run(0.2);
+  sim.run(0.3);
+}
+
+std::string dumbbell_digest(scenario::CcaKind a, scenario::CcaKind b,
+                            net::Discipline discipline, double buffer_bdp) {
+  scenario::ExperimentSpec spec;
+  spec.mix = scenario::half_half(a, b, 4);
+  spec.discipline = discipline;
+  spec.buffer_bdp = buffer_bdp;
+  auto setup = scenario::build_fluid(spec);
+  run_split(*setup.sim);
+  return simulation_digest(*setup.sim);
+}
+
+/// 7 paper mixes × {drop-tail, RED} × {1, 4} BDP, N = 4, 0.5 s, followed
+/// by one Pareto-RTT cell.
+std::vector<sweep::SweepTask> golden_sweep_tasks() {
+  sweep::ParameterGrid grid;
+  grid.backends = {sweep::Backend::kFluid};
+  grid.disciplines = {net::Discipline::kDropTail, net::Discipline::kRed};
+  grid.buffers_bdp = {1.0, 4.0};
+  grid.flow_counts = {4};
+  grid.rtt_ranges = {{0.030, 0.040, sweep::RttDist::kUniform}};
+  grid.mixes = sweep::paper_mix_specs();
+  scenario::ExperimentSpec base;
+  base.duration_s = 0.5;
+  auto tasks = grid.expand(base, 42);
+
+  scenario::ExperimentSpec pareto = base;
+  pareto.mix = scenario::half_half(scenario::CcaKind::kBbrv1,
+                                   scenario::CcaKind::kCubic, 4);
+  pareto.buffer_bdp = 2.0;
+  pareto.flow_rtts_s = sweep::rtt_samples(
+      {0.030, 0.080, sweep::RttDist::kPareto}, pareto.mix.flows.size());
+  tasks.push_back(sweep::make_task(tasks.size(), sweep::Backend::kFluid,
+                                   pareto, 42, pareto.mix.label));
+  return tasks;
+}
+
+TEST(Golden, FluidSweepCsvAndJsonBytes) {
+  const auto tasks = golden_sweep_tasks();
+  ASSERT_EQ(tasks.size(), 29u);
+  for (const std::size_t batch_cells : {std::size_t{1}, std::size_t{0}}) {
+    sweep::SweepOptions options;
+    options.threads = 2;
+    options.batch_cells = batch_cells;
+    const auto result = sweep::run_tasks(tasks, options);
+    ASSERT_EQ(result.failed(), 0u);
+    std::ostringstream csv, json;
+    result.write_csv(csv);
+    result.write_json(json);
+    Digest csv_digest, json_digest;
+    csv_digest.add(csv.str());
+    json_digest.add(json.str());
+    EXPECT_EQ(csv_digest.hex(), "8ed547a786c927e1")
+        << "batch_cells=" << batch_cells;
+    EXPECT_EQ(json_digest.hex(), "46cd783621c79d80")
+        << "batch_cells=" << batch_cells;
+  }
+}
+
+TEST(Golden, Bbrv1CubicDumbbellTrace) {
+  EXPECT_EQ(dumbbell_digest(scenario::CcaKind::kBbrv1,
+                            scenario::CcaKind::kCubic,
+                            net::Discipline::kDropTail, 1.0),
+            "798a2e7f10c35250");
+}
+
+TEST(Golden, Bbrv2RenoDumbbellTrace) {
+  EXPECT_EQ(dumbbell_digest(scenario::CcaKind::kBbrv2,
+                            scenario::CcaKind::kReno, net::Discipline::kRed,
+                            2.0),
+            "344a1d6085381627");
+}
+
+TEST(Golden, ThreeHopParkingLotTrace) {
+  net::ParkingLotSpec spec;
+  spec.num_hops = 3;
+  spec.cross_flows_per_hop = 1;
+  spec.hop_capacity_pps = mbps_to_pps(100.0);
+  const auto lot = net::make_parking_lot(spec);
+  std::vector<std::unique_ptr<core::FluidCca>> agents;
+  for (const auto kind :
+       {scenario::CcaKind::kBbrv1, scenario::CcaKind::kBbrv2,
+        scenario::CcaKind::kCubic, scenario::CcaKind::kReno}) {
+    agents.push_back(scenario::make_fluid_cca(kind));
+  }
+  core::FluidSimulation sim(lot.topology, std::move(agents));
+  run_split(sim);
+  EXPECT_EQ(simulation_digest(sim), "9f4e868c71af7a97");
+}
+
+TEST(Golden, ParkingLotRunnerFluidRow) {
+  scenario::ExperimentSpec spec;
+  spec.mix = {"BBRv1+CUBIC",
+              {scenario::CcaKind::kBbrv1, scenario::CcaKind::kCubic,
+               scenario::CcaKind::kCubic, scenario::CcaKind::kCubic}};
+  spec.duration_s = 0.5;
+  sweep::SweepOptions options;
+  options.threads = 1;
+  options.runner = sweep::parking_lot_runner();
+  const auto result = sweep::run_tasks(
+      {sweep::make_task(0, sweep::Backend::kFluid, spec, 42, spec.mix.label)},
+      options);
+  ASSERT_EQ(result.failed(), 0u);
+  std::ostringstream csv;
+  result.write_csv(csv);
+  Digest d;
+  d.add(csv.str());
+  const auto& m = result.rows().front().metrics;
+  for (const double rate : m.mean_rate_pps) d.add(rate);
+  for (const double aux : m.aux) d.add(aux);
+  EXPECT_EQ(d.hex(), "af78cafd438828ea");
+}
+
+}  // namespace
+
+namespace core {
+namespace {
+
+TEST(BatchEngine, EmptyBatchIsANoop) {
+  const std::vector<const scenario::ExperimentSpec*> none;
+  EXPECT_TRUE(scenario::run_fluid_batch(none).empty());
+}
+
+}  // namespace
+}  // namespace core
+}  // namespace bbrmodel

@@ -15,13 +15,6 @@
 namespace bbrmodel::lint {
 namespace {
 
-std::vector<std::string> rules_hit(const std::vector<Finding>& findings) {
-  std::vector<std::string> names;
-  names.reserve(findings.size());
-  for (const auto& f : findings) names.push_back(f.rule);
-  return names;
-}
-
 bool fires(const std::vector<Finding>& findings, const std::string& rule) {
   return std::any_of(findings.begin(), findings.end(),
                      [&](const Finding& f) { return f.rule == rule; });

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <initializer_list>
 #include <mutex>
 #include <set>
@@ -501,50 +502,64 @@ Runner counting_batch_runner(std::vector<std::vector<std::size_t>>* batches,
 }
 
 TEST(Batch, FluidBatchingIsByteInvariantAcrossThreadsAndShards) {
-  // The real SoA engine under the real dispatcher: any grouping of the
-  // fluid cells must reproduce the scalar run's bytes exactly.
+  // The real fluid runner under the real dispatcher: any grouping of the
+  // fluid cells into work units must reproduce the one-cell-per-unit bytes
+  // exactly — also when the cells of one unit differ in duration.
   ParameterGrid grid = tiny_grid();
   grid.backends = {Backend::kFluid};
   const auto base = tiny_base();
+  auto mixed_durations = grid.expand(base, SweepOptions{}.base_seed);
+  for (auto& task : mixed_durations) {
+    if (task.index % 2 == 1) task.spec.duration_s = 0.3;
+  }
+  using RunFn = std::function<SweepResult(const SweepOptions&)>;
+  const RunFn inputs[] = {
+      [&](const SweepOptions& o) { return run_sweep(grid, base, o); },
+      [&](const SweepOptions& o) {
+        return run_tasks(filter_shard(mixed_durations, o.shard), o);
+      },
+  };
 
-  SweepOptions scalar;
-  scalar.threads = 1;
-  scalar.batch_cells = 1;
-  std::ostringstream ref_csv, ref_json;
-  const auto reference = run_sweep(grid, base, scalar);
-  reference.write_csv(ref_csv);
-  reference.write_json(ref_json);
+  for (const RunFn& run : inputs) {
+    SweepOptions scalar;
+    scalar.threads = 1;
+    scalar.batch_cells = 1;
+    std::ostringstream ref_csv, ref_json;
+    const auto reference = run(scalar);
+    reference.write_csv(ref_csv);
+    reference.write_json(ref_json);
 
-  for (const std::size_t batch_cells :
-       std::initializer_list<std::size_t>{0, 3}) {
-    for (const std::size_t threads :
-         std::initializer_list<std::size_t>{1, 4}) {
-      SweepOptions batched;
-      batched.threads = threads;
-      batched.batch_cells = batch_cells;
-      std::ostringstream csv, json;
-      const auto result = run_sweep(grid, base, batched);
-      result.write_csv(csv);
-      result.write_json(json);
-      EXPECT_EQ(csv.str(), ref_csv.str())
-          << "batch_cells=" << batch_cells << " threads=" << threads;
-      EXPECT_EQ(json.str(), ref_json.str())
-          << "batch_cells=" << batch_cells << " threads=" << threads;
+    for (const std::size_t batch_cells :
+         std::initializer_list<std::size_t>{0, 3}) {
+      for (const std::size_t threads :
+           std::initializer_list<std::size_t>{1, 4}) {
+        SweepOptions batched;
+        batched.threads = threads;
+        batched.batch_cells = batch_cells;
+        std::ostringstream csv, json;
+        const auto result = run(batched);
+        result.write_csv(csv);
+        result.write_json(json);
+        EXPECT_EQ(csv.str(), ref_csv.str())
+            << "batch_cells=" << batch_cells << " threads=" << threads;
+        EXPECT_EQ(json.str(), ref_json.str())
+            << "batch_cells=" << batch_cells << " threads=" << threads;
+      }
     }
-  }
 
-  // Sharded batched runs merge into the same bytes as the scalar full run.
-  std::vector<std::string> shard_csvs;
-  for (std::size_t k = 0; k < 2; ++k) {
-    SweepOptions sharded;
-    sharded.batch_cells = 2;
-    sharded.shard = {k, 2};
-    std::ostringstream csv;
-    run_sweep(grid, base, sharded).write_csv(csv);
-    shard_csvs.push_back(csv.str());
+    // Sharded batched runs merge into the same bytes as the scalar full run.
+    std::vector<std::string> shard_csvs;
+    for (std::size_t k = 0; k < 2; ++k) {
+      SweepOptions sharded;
+      sharded.batch_cells = 2;
+      sharded.shard = {k, 2};
+      std::ostringstream csv;
+      run(sharded).write_csv(csv);
+      shard_csvs.push_back(csv.str());
+    }
+    EXPECT_EQ(merge_csv(shard_csvs), ref_csv.str())
+        << "batched shard union must be byte-identical to the scalar run";
   }
-  EXPECT_EQ(merge_csv(shard_csvs), ref_csv.str())
-      << "batched shard union must be byte-identical to the scalar run";
 }
 
 TEST(Batch, WarmCellsArePeeledFromBatches) {

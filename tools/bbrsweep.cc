@@ -133,13 +133,13 @@ Adaptive refinement (--adaptive, and the `plan` subcommand):
 
 Execution:
   --threads N         worker threads; 0 = hardware concurrency (default 0)
-  --batch-cells K     cells per batched runner invocation when the runner
-                      supports batching (fluid does: compatible cells
-                      integrate in lockstep through one SoA engine pass);
-                      0 = the runner's preferred batch, 1 = scalar
-                      (default), K = group up to K compatible cells.
-                      Output bytes never change — batching is purely a
-                      throughput knob (see README "Performance")
+  --batch-cells K     only sets how many cells form one work unit, for
+                      runners that take several cells per call (fluid
+                      does: a unit's cells run one after another on one
+                      thread). 0 = the runner's preferred size (default
+                      for single-process runs), 1 = one cell per unit
+                      (default for `worker`), K = up to K cells. Output
+                      bytes never change (see README "Performance")
   --seed S            base seed; per-task seeds derive from it (default 42)
   --shard K/N         run only tasks with index ≡ K (mod N); the union of
                       all N shards' outputs merges byte-identically into
@@ -237,8 +237,8 @@ Distributed execution (one plan, any number of machines sharing DIR):
   --plan-wait S       wait up to S seconds for the coordinator to seed
                       the plan (default 60)
   (--threads, --batch-cells, --cache-dir, --timeout, --retries apply per
-   worker; --batch-cells runs each claimed unit's cells through one
-   batched engine pass — results stay byte-identical)
+   worker; --batch-cells, default 1 here, sets the work units a claimed
+   unit's cells run in — results stay byte-identical)
   fleet only:
   --workers N         worker slots to keep filled (default 1)
   --ssh HOST,...      run workers over ssh on these hosts (round-robin);
