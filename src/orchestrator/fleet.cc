@@ -198,10 +198,10 @@ FleetReport run_fleet(const FleetOptions& options) {
     sleep_s(options.poll_s);
     waited += options.poll_s;
   }
-  // The header lines alone give the size — a million-cell plan is never
-  // parsed just to know when the fleet may stand down.
-  const std::size_t plan_size =
-      queue.plan_size_hint().value_or(queue.load_plan().size());
+  // The seed-time counters file gives the size — the plan itself is never
+  // read just to know when the fleet may stand down. This also refuses a
+  // directory seeded under an older queue layout.
+  const std::size_t plan_size = queue.counters().total;
 
   const bool autoscaling = options.autoscale.has_value();
   const AutoscalePolicy policy =
@@ -220,8 +220,8 @@ FleetReport run_fleet(const FleetOptions& options) {
   // Worker ids must be unique across *fleet instances*: two machines each
   // running `bbrsweep fleet` against one shared queue dir (the manual-ssh
   // replacement the README suggests) must not collide on identity — a
-  // shared id would cross-wire strike accounting, stats files, and
-  // coalesced-manifest names. Controller host + pid disambiguate.
+  // shared id would cross-wire strike accounting, stats files, result
+  // logs and claim file names. Controller host + pid disambiguate.
   const std::string fleet_tag = default_worker_id();
   std::vector<Slot> slots(max_slots);
   for (std::size_t i = 0; i < slots.size(); ++i) {

@@ -81,7 +81,7 @@ struct FleetOptions {
   /// `remote_command` on PATH.
   std::vector<std::string> ssh_hosts;
   /// Extra flags forwarded verbatim to every `bbrsweep worker` (e.g.
-  /// --batch 8 --threads 4 --cache-dir /shared/cells).
+  /// --threads 4 --cache-dir /shared/cells).
   std::vector<std::string> worker_args;
   /// Local bbrsweep binary to exec (usually /proc/self/exe).
   std::string self_path;

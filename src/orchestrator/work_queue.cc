@@ -19,6 +19,7 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -40,15 +41,15 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Cell file names are zero-padded so lexicographic directory order is
-/// numeric order — claims go lowest-index first without parsing.
+/// Cell indices in file names are zero-padded so lexicographic directory
+/// order is numeric order — claims go lowest-index first without parsing.
 std::string index_name(std::size_t index) {
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%010zu", index);
   return buffer;
 }
 
-/// The numeric prefix of a queue file name ("0000000042.worker.cell").
+/// The numeric prefix of a queue file name ("0000000042.cell").
 std::optional<std::size_t> parse_index_name(const std::string& name) {
   const auto dot = name.find('.');
   if (dot == std::string::npos || dot == 0) return std::nullopt;
@@ -99,108 +100,101 @@ Touch touch_by_write(const std::string& path) {
   return ok ? Touch::kOk : Touch::kFailed;
 }
 
-constexpr const char* kBatchHeader = "batch";
+constexpr const char* kSegmentHeader = "segment";
+constexpr const char* kSegmentExt = ".seg";
 
-/// Batch file names carry their member count as a second token —
-/// "0000000042.b8.batch" pending, "0000000042.b8.worker.batch" active —
-/// so counting the cells of a directory never has to open the files
-/// (progress() and `bbrsweep status` poll these counts continuously).
-std::string batch_count_token(std::size_t count) {
-  return "b" + std::to_string(count);
-}
-
-/// The member count a batch file's name advertises, or nullopt when the
-/// name lacks the token (not one of ours).
-std::optional<std::size_t> batch_count_from_name(const std::string& name) {
-  const auto first = name.find('.');
-  if (first == std::string::npos) return std::nullopt;
-  const auto second = name.find('.', first + 1);
-  if (second == std::string::npos || second <= first + 2 ||
-      name[first + 1] != 'b') {
-    return std::nullopt;
-  }
-  const auto v =
-      try_parse_u64(name.substr(first + 2, second - first - 2));
-  if (!v || *v == 0) return std::nullopt;
-  return static_cast<std::size_t>(*v);
-}
-
-/// The on-disk payload of a batch entry: "batch\n" then one ascending
-/// member index per line. Shared by pending batches and active manifests.
-std::string encode_batch(const std::vector<std::size_t>& indices) {
-  std::string out = kBatchHeader;
+/// The on-disk payload of a segment entry: "segment\n" then one ascending
+/// member index per line. Shared by pending segments and active claims.
+std::string encode_segment(const std::vector<std::size_t>& members) {
+  std::string out = kSegmentHeader;
   out += '\n';
-  for (const std::size_t index : indices) {
+  for (const std::size_t index : members) {
     out += std::to_string(index);
     out += '\n';
   }
   return out;
 }
 
-/// nullopt on any damage — a batch whose members cannot be recovered must
-/// be loud at the call sites that need them, never silently empty.
-std::optional<std::vector<std::size_t>> decode_batch(
+/// nullopt on any damage, members out of order included — a segment whose
+/// members cannot be recovered must be loud at the call sites that need
+/// them, never silently empty.
+std::optional<std::vector<std::size_t>> decode_segment(
     const std::string& bytes) {
   std::istringstream in(bytes);
   std::string line;
-  if (!std::getline(in, line) || line != kBatchHeader) return std::nullopt;
-  std::vector<std::size_t> indices;
+  if (!std::getline(in, line) || line != kSegmentHeader) return std::nullopt;
+  std::vector<std::size_t> members;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     const auto v = try_parse_u64(line);
-    if (!v) return std::nullopt;
-    indices.push_back(static_cast<std::size_t>(*v));
+    if (!v || (!members.empty() && *v <= members.back())) return std::nullopt;
+    members.push_back(static_cast<std::size_t>(*v));
   }
-  if (indices.empty()) return std::nullopt;
-  return indices;
-}
-
-/// The members a batch file under `path` covers — nullopt when the file
-/// vanished (a peer claimed, finished, or recovered it between a
-/// directory listing and this read; a benign race the caller skips).
-/// Bytes that exist but cannot be decoded are loud: a silently ignored
-/// damaged batch would strand its cells in no state at all.
-std::optional<std::vector<std::size_t>> read_batch_members_if_present(
-    const std::string& path) {
-  const auto bytes = read_text_file(path);
-  if (!bytes) return std::nullopt;
-  auto members = decode_batch(*bytes);
-  BBRM_REQUIRE_MSG(members.has_value(),
-                   "queue batch file " + path +
-                       " is damaged; its cells cannot be recovered "
-                       "without it");
+  if (members.empty()) return std::nullopt;
   return members;
 }
 
-/// Count the cells of one queue state directory: one per ".cell" entry
-/// plus every member a ".batch" entry covers — from the count token in
-/// its name, so this stays one readdir with zero file opens however
-/// often progress displays poll it.
-std::size_t count_cells(const std::string& dir) {
+/// "<first>.<count>.<digest>": a segment's name without claimant or
+/// extension. The first member keeps lexicographic order numeric, the
+/// count lets counters() total cells from names alone, and the digest of
+/// the payload makes the name a function of the member list — two
+/// re-enqueues that meet under one name write identical bytes, so an
+/// overwrite can never drop a member of either.
+std::string segment_stem(const std::vector<std::size_t>& members,
+                         const std::string& payload) {
+  return index_name(members.front()) + "." + std::to_string(members.size()) +
+         "." + hex64(fnv1a64(payload));
+}
+
+/// A segment entry's file name taken apart: "<stem>.seg" pending,
+/// "<stem>.<worker>.seg" active.
+struct SegmentName {
+  std::size_t first = 0;
   std::size_t count = 0;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (has_extension(name, ".cell")) {
-      ++count;
-    } else if (has_extension(name, ".batch")) {
-      if (const auto advertised = batch_count_from_name(name)) {
-        count += *advertised;
-        continue;
-      }
-      // Foreign name (hand-made file): fall back to reading it. An
-      // undecodable one still counts as one entry — under-reporting to
-      // zero would hide the damage the claim/recover paths report
-      // loudly.
-      const auto bytes = read_text_file(entry.path().string());
-      const auto members =
-          bytes ? decode_batch(*bytes)
-                : std::optional<std::vector<std::size_t>>{};
-      count += members ? members->size() : 1;
-    }
+  std::string stem;
+  std::string worker;  ///< the claimant; empty for a pending entry
+};
+
+std::optional<SegmentName> parse_segment_name(const std::string& name) {
+  if (!has_extension(name, kSegmentExt)) return std::nullopt;
+  const std::string body =
+      name.substr(0, name.size() - std::string(kSegmentExt).size());
+  const auto a = body.find('.');
+  const auto b = a == std::string::npos ? a : body.find('.', a + 1);
+  if (b == std::string::npos) return std::nullopt;
+  const auto c = body.find('.', b + 1);
+  const auto first = try_parse_u64(body.substr(0, a));
+  const auto count = try_parse_u64(body.substr(a + 1, b - a - 1));
+  if (!first || !count || *count == 0 || b + 1 == body.size() ||
+      c == b + 1 || c + 1 == body.size()) {
+    return std::nullopt;
   }
-  return count;
+  SegmentName out;
+  out.first = static_cast<std::size_t>(*first);
+  out.count = static_cast<std::size_t>(*count);
+  out.stem = body.substr(0, c);
+  if (c != std::string::npos) out.worker = body.substr(c + 1);
+  return out;
+}
+
+/// The members of the segment entry at `path` — from its name alone for a
+/// one-cell segment, else read from the file. nullopt when the file
+/// vanished (a peer claimed, finished, or recovered it between a directory
+/// listing and this read; a benign race the caller skips). Bytes that
+/// exist but disagree with the name are loud: a silently ignored damaged
+/// segment would strand its cells in no state at all.
+std::optional<std::vector<std::size_t>> segment_members(
+    const std::string& path, const SegmentName& name) {
+  if (name.count == 1) return std::vector<std::size_t>{name.first};
+  const auto bytes = read_text_file(path);
+  if (!bytes) return std::nullopt;
+  auto members = decode_segment(*bytes);
+  BBRM_REQUIRE_MSG(members.has_value() && members->size() == name.count &&
+                       members->front() == name.first,
+                   "queue segment file " + path +
+                       " is damaged; its cells cannot be recovered "
+                       "without it");
+  return members;
 }
 
 std::string stats_field(const std::map<std::string, std::string>& fields,
@@ -213,16 +207,29 @@ double parse_stat_double(const std::string& text) {
   return try_parse_double(text).value_or(0.0);
 }
 
-/// Segment-layout stamp: the first line of plan.bbrplan when the queue
-/// stores results in per-worker logs. Its absence means the legacy
-/// per-cell layout, so pre-stamp queue directories keep draining; its
-/// presence makes a legacy binary's plan parse fail loudly instead of
-/// misreading the document. Seeding byte-compares the whole plan file, so
-/// mixing layouts in one directory is rejected for free.
-constexpr const char* kLayoutStamp = "bbrm-queue-layout=2\n";
+/// The layout stamp: the first line of plan.bbrplan. Layout 3 is this
+/// segment-only queue. An unstamped plan (layout 1: per-cell entries and
+/// result files) or a "=2" one (per-cell and batch entries beside
+/// segments) may sit beside entries this code would strand, so such
+/// directories are refused rather than drained.
+constexpr std::string_view kStampPrefix = "bbrm-queue-layout=";
+constexpr std::string_view kLayoutStamp = "bbrm-queue-layout=3\n";
 
-bool has_layout_stamp(const std::string& bytes) {
-  return bytes.rfind(kLayoutStamp, 0) == 0;
+/// Throws the one re-seed error unless `plan_file` (the whole file or a
+/// prefix of it) starts with the current stamp.
+void require_current_stamp(const std::string& dir,
+                          const std::string& plan_file) {
+  if (plan_file.rfind(kLayoutStamp, 0) == 0) return;
+  std::string found = "unstamped";
+  if (plan_file.rfind(kStampPrefix, 0) == 0) {
+    const std::size_t eq = kStampPrefix.size() - 1;
+    found = "stamped " + plan_file.substr(eq, plan_file.find('\n') - eq);
+  }
+  throw PreconditionError(
+      "queue directory " + dir + " was seeded by another bbrsweep version "
+      "(plan " + found + ") and may hold entries this one would strand; "
+      "re-seed into a fresh directory (its plan.bbrplan still works with "
+      "`bbrsweep merge --plan`)");
 }
 
 /// Result-log record framing. One record is
@@ -234,15 +241,14 @@ bool has_layout_stamp(const std::string& bytes) {
 /// mid-append leaves a torn tail that fails the hash (or the length) and
 /// is simply not consumed: the claim was never finished, so the cell
 /// re-enqueues and the record is re-appended. The payload is the same
-/// exact-number CSV encode_cell_metrics emits for per-cell result files
-/// and the cell cache, so every layout decodes through one codec.
+/// exact-number CSV encode_cell_metrics emits for failed-cell files and
+/// the cell cache, so every store decodes through one codec.
 constexpr std::uint32_t kLogMagic = 0x32515242u;  // "BQR2"
 constexpr std::size_t kLogHeaderBytes = 24;
 constexpr std::uint32_t kMaxLogField = 16u << 20;
-/// Rewrite the publish checkpoint after this many unflushed records (and
-/// at every claim-unit boundary): the checkpoint is an accelerator for
-/// O(1) status, so the only cost of staleness is a slightly longer tail
-/// scan, never a wrong count.
+/// Rewrite the publish checkpoint after this many unflushed records: the
+/// checkpoint is an accelerator for O(1) status, so the only cost of
+/// staleness is a slightly longer tail scan, never a wrong count.
 constexpr std::uint64_t kCheckpointEvery = 256;
 
 void put_u32(std::string& out, std::uint32_t v) {
@@ -403,8 +409,8 @@ std::optional<StoredCounters> read_stored_counters(const std::string& path) {
   return counters;
 }
 
-/// The text body of a per-cell result file (layout 1 results/, layout 2
-/// failed/): status and error lines, then the shared metrics codec.
+/// The text body of a failed-cell file: status and error lines, then the
+/// shared metrics codec.
 std::string encode_result_file(const sweep::TaskResult& result) {
   std::string bytes = "status=";
   bytes += result.ok ? "ok" : "failed";
@@ -415,8 +421,8 @@ std::string encode_result_file(const sweep::TaskResult& result) {
   return bytes;
 }
 
-/// Parse a per-cell result file back into a TaskResult. nullopt when the
-/// file is absent or damaged.
+/// Parse a failed-cell file back into a TaskResult. nullopt when the file
+/// is absent or damaged.
 std::optional<sweep::TaskResult> load_result_file(
     const std::string& path, const sweep::SweepTask& task) {
   std::ifstream in(path);
@@ -441,7 +447,7 @@ std::optional<sweep::TaskResult> load_result_file(
   return result;
 }
 
-/// Status-only peek at a per-cell result file.
+/// Status-only peek at a failed-cell file.
 std::optional<bool> result_file_ok(const std::string& path) {
   std::ifstream in(path);
   if (!in) return std::nullopt;
@@ -452,8 +458,8 @@ std::optional<bool> result_file_ok(const std::string& path) {
   return status.substr(7) == "ok";
 }
 
-/// The first `limit` bytes of a file (enough for layout stamps and plan
-/// headers) — never the whole document.
+/// The first `limit` bytes of a file (enough for a layout stamp) — never
+/// the whole document.
 std::optional<std::string> read_file_prefix(const std::string& path,
                                             std::size_t limit) {
   std::ifstream in(path, std::ios::binary);
@@ -482,6 +488,14 @@ std::string default_worker_id() {
   host[sizeof host - 1] = '\0';
   return sanitize_worker_id(std::string(host) + "-" +
                             std::to_string(::getpid()));
+}
+
+std::string strip_layout_stamp(std::string plan_file) {
+  if (plan_file.rfind(kStampPrefix, 0) == 0) {
+    const auto eol = plan_file.find('\n');
+    plan_file.erase(0, eol == std::string::npos ? plan_file.size() : eol + 1);
+  }
+  return plan_file;
 }
 
 WorkQueue::WorkQueue(std::string dir, double lease_s, double skew_margin_s)
@@ -547,32 +561,6 @@ std::string WorkQueue::plan_path() const {
 std::string WorkQueue::probe_path() const {
   return (fs::path(dir_) / "probe").string();
 }
-std::string WorkQueue::pending_path(std::size_t index) const {
-  return (fs::path(pending_dir()) / (index_name(index) + ".cell")).string();
-}
-std::string WorkQueue::pending_batch_path(std::size_t index,
-                                          std::size_t count) const {
-  return (fs::path(pending_dir()) /
-          (index_name(index) + "." + batch_count_token(count) + ".batch"))
-      .string();
-}
-std::string WorkQueue::active_path(std::size_t index,
-                                   const std::string& worker_id) const {
-  return (fs::path(active_dir()) /
-          (index_name(index) + "." + worker_id + ".cell"))
-      .string();
-}
-std::string WorkQueue::active_batch_path(std::size_t index,
-                                         const std::string& worker_id,
-                                         std::size_t count) const {
-  return (fs::path(active_dir()) /
-          (index_name(index) + "." + batch_count_token(count) + "." +
-           worker_id + ".batch"))
-      .string();
-}
-std::string WorkQueue::result_path(std::size_t index) const {
-  return (fs::path(results_dir()) / (index_name(index) + ".cell")).string();
-}
 std::string WorkQueue::failed_dir() const {
   return (fs::path(dir_) / "failed").string();
 }
@@ -589,34 +577,13 @@ std::string WorkQueue::checkpoint_path(const std::string& worker_id) const {
   return (fs::path(workers_dir()) / (worker_id + ".pub")).string();
 }
 
-QueueLayout WorkQueue::layout() const {
-  std::lock_guard<std::mutex> lock(layout_mutex_);
-  if (layout_) return *layout_;
-  const auto prefix =
-      read_file_prefix(plan_path(), std::string(kLayoutStamp).size());
-  if (!prefix) {
-    // No plan yet: report (but never cache) the legacy default — the
-    // seed that eventually lands decides the real answer.
-    return QueueLayout::kPerCell;
-  }
-  layout_ = has_layout_stamp(*prefix) ? QueueLayout::kSegment
-                                      : QueueLayout::kPerCell;
-  return *layout_;
-}
-
-std::optional<std::size_t> WorkQueue::plan_size_hint() const {
-  // 4 KiB covers the stamp plus the three header lines of any plan; a
-  // million-cell document never gets read for its size.
-  auto prefix = read_file_prefix(plan_path(), 4096);
-  if (!prefix) return std::nullopt;
-  if (has_layout_stamp(*prefix)) {
-    prefix->erase(0, std::string(kLayoutStamp).size());
-  }
-  try {
-    return ExecutionPlan::peek_header(*prefix).cells;
-  } catch (...) {
-    return std::nullopt;
-  }
+void WorkQueue::check_plan_stamp() const {
+  if (stamp_checked_.load()) return;
+  // 64 bytes hold any stamp line; a million-cell plan is never read here.
+  const auto prefix = read_file_prefix(plan_path(), 64);
+  if (!prefix) return;  // nothing seeded yet: the seed that lands decides
+  require_current_stamp(dir_, *prefix);
+  stamp_checked_.store(true);
 }
 
 std::optional<fs::file_time_type> WorkQueue::probe_now() const {
@@ -661,45 +628,30 @@ std::optional<fs::file_time_type> WorkQueue::probe_now() const {
 
 void WorkQueue::seed(const ExecutionPlan& plan, std::size_t batch,
                      std::size_t segment_cells) const {
-  BBRM_REQUIRE_MSG(batch >= 1, "batch size must be at least 1");
-  const bool segment = segment_cells > 0;
-  // A segment is a claim unit: the existing batch machinery already gives
-  // one pending file, one atomic-rename claim, and one recovery manifest
-  // per group of cells, so the segment layout reuses it wholesale and
-  // only the result side changes representation.
-  const std::size_t chunk = segment ? segment_cells : batch;
+  const std::size_t chunk = segment_cells > 0 ? segment_cells : batch;
+  BBRM_REQUIRE_MSG(chunk >= 1, "segment size must be at least 1");
   std::string bytes = plan.serialize();
-  if (segment) bytes.insert(0, kLayoutStamp);
-  if (fs::exists(plan_path())) {
-    const std::string stored = read_text_file(plan_path()).value_or("");
-    BBRM_REQUIRE_MSG(
-        has_layout_stamp(stored) == segment,
-        "queue directory " + dir_ + " uses the " +
-            (has_layout_stamp(stored) ? "segment" : "per-cell") +
-            " result layout; re-seed it the same way or use a fresh "
-            "directory (layouts cannot mix in one queue)");
-    BBRM_REQUIRE_MSG(stored == bytes,
+  bytes.insert(0, kLayoutStamp);
+  const bool stored = fs::exists(plan_path());
+  if (stored) {
+    const std::string previous = read_text_file(plan_path()).value_or("");
+    require_current_stamp(dir_, previous);
+    BBRM_REQUIRE_MSG(previous == bytes,
                      "queue directory " + dir_ +
                          " already holds a different plan; seeding would "
                          "corrupt it (use a fresh directory)");
-  } else {
-    write_file_atomically(plan_path(), bytes, "queue plan");
   }
-  {
-    std::lock_guard<std::mutex> lock(layout_mutex_);
-    layout_ = segment ? QueueLayout::kSegment : QueueLayout::kPerCell;
-  }
-  if (segment) {
-    // Seed-time totals for O(1) status: `bbrsweep status` and the
-    // coordinator watch line read this one file plus the publish
-    // checkpoints, never a readdir of pending/ or results/.
-    write_file_atomically(counters_path(),
-                          "format=2\ntotal=" +
-                              std::to_string(plan.size()) +
-                              "\nsegment-cells=" +
-                              std::to_string(segment_cells) + "\n",
-                          "queue counters");
-  }
+  // Seed-time totals for O(1) status: `bbrsweep status`, the coordinator
+  // watch line and the fleet read this one file plus the publish
+  // checkpoints, never a readdir of pending/ or results/. Written before
+  // the plan, so whoever sees a plan also finds its counters.
+  write_file_atomically(counters_path(),
+                        "format=3\ntotal=" + std::to_string(plan.size()) +
+                            "\nsegment-cells=" + std::to_string(chunk) +
+                            "\n",
+                        "queue counters");
+  if (!stored) write_file_atomically(plan_path(), bytes, "queue plan");
+  stamp_checked_.store(true);
   // Record the lease parameters so workers can adopt them instead of
   // guessing — a participant with a shorter lease than the heartbeat
   // cadence of the others would keep stealing live claims.
@@ -709,36 +661,28 @@ void WorkQueue::seed(const ExecutionPlan& plan, std::size_t batch,
                         "queue lease");
 
   // Resume-aware enqueue: skip cells that are already pending or being
-  // worked on (batch entries cover every member they list). One scan of
-  // each state dir beats N existence probes.
+  // worked on (an entry covers every member it lists). One scan of each
+  // state dir beats N existence probes.
   std::set<std::size_t> unavailable;
   for (const std::string& state : {pending_dir(), active_dir()}) {
     std::error_code ec;
     for (const auto& entry : fs::directory_iterator(state, ec)) {
       if (!entry.is_regular_file()) continue;
-      const std::string name = entry.path().filename().string();
-      const auto index = parse_index_name(name);
-      if (!index) continue;
-      if (has_extension(name, ".cell")) {
-        unavailable.insert(*index);
-      } else if (has_extension(name, ".batch")) {
-        // A batch a peer claims or finishes mid-scan reads as absent;
-        // its members re-enqueue at worst as benign duplicates
-        // (deterministic runners republish identical bytes).
-        const auto members =
-            read_batch_members_if_present(entry.path().string());
-        if (!members) continue;
-        for (const std::size_t member : *members) {
-          unavailable.insert(member);
-        }
-      }
+      const auto name = parse_segment_name(entry.path().filename().string());
+      if (!name) continue;
+      // A segment a peer claims or finishes mid-scan reads as absent; its
+      // members re-enqueue at worst as benign duplicates (deterministic
+      // runners republish identical bytes).
+      const auto members = segment_members(entry.path().string(), *name);
+      if (!members) continue;
+      unavailable.insert(members->begin(), members->end());
     }
   }
 
+  // One index refresh and one failed/ listing answer "published?" for
+  // every cell — no per-cell filesystem probes on resume.
   std::vector<std::size_t> todo;
-  if (segment) {
-    // One index refresh and one failed/ listing answer "published?" for
-    // every cell — no per-cell filesystem probes on resume.
+  {
     std::lock_guard<std::mutex> lock(result_mutex_);
     refresh_result_index_locked();
     std::set<std::size_t> failed_cells;
@@ -756,32 +700,12 @@ void WorkQueue::seed(const ExecutionPlan& plan, std::size_t batch,
       }
       todo.push_back(cell.index);
     }
-  } else {
-    for (const auto& cell : plan.cells()) {
-      if (unavailable.count(cell.index) != 0) continue;
-      const auto ok = result_ok(cell.index);
-      if (ok.has_value()) {
-        if (*ok) continue;
-        // A failed result must not be memoized forever: drop it and
-        // re-enqueue the cell so the next run re-attempts the task.
-        std::error_code ec;
-        fs::remove(result_path(cell.index), ec);
-      }
-      todo.push_back(cell.index);
-    }
   }
   for (std::size_t start = 0; start < todo.size(); start += chunk) {
     const std::size_t n = std::min(chunk, todo.size() - start);
-    if (n == 1) {
-      write_file_atomically(pending_path(todo[start]), "queued\n",
-                            "queue cell");
-    } else {
-      const std::vector<std::size_t> members(
-          todo.begin() + static_cast<std::ptrdiff_t>(start),
-          todo.begin() + static_cast<std::ptrdiff_t>(start + n));
-      write_file_atomically(pending_batch_path(members.front(), n),
-                            encode_batch(members), "queue batch");
-    }
+    enqueue_segment(std::vector<std::size_t>(
+        todo.begin() + static_cast<std::ptrdiff_t>(start),
+        todo.begin() + static_cast<std::ptrdiff_t>(start + n)));
   }
 }
 
@@ -811,125 +735,63 @@ std::optional<double> WorkQueue::stored_skew_margin_s(
 ExecutionPlan WorkQueue::load_plan() const {
   BBRM_REQUIRE_MSG(has_plan(), "queue " + dir_ + " has no plan yet");
   std::string bytes = read_text_file(plan_path()).value_or("");
-  if (has_layout_stamp(bytes)) {
-    bytes.erase(0, std::string(kLayoutStamp).size());
-  }
+  require_current_stamp(dir_, bytes);
+  stamp_checked_.store(true);
+  // Strip in place: a large plan's text runs to tens of MB, and a copy
+  // would double the attach's peak memory.
+  bytes.erase(0, kLayoutStamp.size());
   return ExecutionPlan::parse(bytes);
 }
 
-std::optional<std::size_t> WorkQueue::try_claim(
+std::optional<Claim> WorkQueue::try_claim_segment(
     const std::string& worker_id) const {
-  auto claim = try_claim_batch(worker_id, 1);
-  if (!claim) return std::nullopt;
-  if (claim->batch) {
-    release(*claim);  // don't strand the members behind a lease
-    BBRM_REQUIRE_MSG(false,
-                     "try_claim is the single-cell API; this queue holds "
-                     "batch entries — claim them with try_claim_batch");
-  }
-  return claim->indices.front();
-}
-
-std::optional<Claim> WorkQueue::try_claim_batch(
-    const std::string& worker_id, std::size_t max_cells) const {
   require_worker_id(worker_id);
-  if (max_cells == 0) max_cells = 1;
   // Pop cached candidates first; one directory listing refills the
   // backlog when it runs dry. Stale candidates (claimed by a peer since
   // the listing) just fail their rename and are dropped individually, so
-  // a full drain costs one readdir per refill, not one per cell — and a
-  // peer's re-seed or recovery never forces a full relist. Two refreshes
-  // bound the call when peers are racing us for the last cells.
+  // a full drain costs one readdir per refill, not one per segment — and
+  // a peer's re-seed or recovery never forces a full relist. Two
+  // refreshes bound the call when peers are racing us for the last
+  // segments.
   for (int refresh = 0; refresh < 2; ++refresh) {
-    Claim claim;
-    std::vector<std::string> single_paths;  // active files to coalesce
-    while (claim.indices.size() < max_cells) {
-      std::string name;
+    while (true) {
+      std::string pending_name;
       {
         std::lock_guard<std::mutex> lock(claim_mutex_);
         if (claim_backlog_.empty()) break;
-        name = std::move(claim_backlog_.back());
+        pending_name = std::move(claim_backlog_.back());
         claim_backlog_.pop_back();
       }
-      const auto index = parse_index_name(name);
-      if (!index) continue;
-      if (has_extension(name, ".batch")) {
-        if (!claim.indices.empty()) {
-          // Don't mix a pre-chunked batch into coalesced singles; put it
-          // back at its sorted position (a concurrent release/recover
-          // may have inserted lower names behind our back, so a plain
-          // push_back could break the order backlog_insert relies on)
-          // and return what we have.
-          backlog_insert({std::move(name)});
-          break;
-        }
-        // The active name keeps the pending name's stem (count token
-        // included) and inserts the worker before the extension.
-        const std::string to =
-            (fs::path(active_dir()) /
-             (name.substr(0, name.size() - 6) + "." + worker_id + ".batch"))
-                .string();
-        std::error_code ec;
-        fs::rename((fs::path(pending_dir()) / name).string(), to, ec);
-        if (ec) continue;  // stale entry: a peer won it; drop just this one
-        // rename preserves the pending file's old mtime, so a recoverer
-        // statting in this window can judge the fresh claim expired and
-        // recover it. The touch stamps the lease; if it (or the read)
-        // finds the manifest already gone, the claim was lost — the
-        // members are back in pending, so just move on. A touch that
-        // failed with the file still present keeps the claim (the next
-        // heartbeat re-stamps it); abandoning would strand the entry.
-        if (touch_by_write(to) == Touch::kMissing) continue;
-        auto members = read_batch_members_if_present(to);
-        if (!members) continue;
-        claim.indices = std::move(*members);
-        claim.active_name = fs::path(to).filename().string();
-        claim.batch = true;
-        return claim;
-      }
-      if (!has_extension(name, ".cell")) continue;
-      const std::string to = active_path(*index, worker_id);
+      const auto name = parse_segment_name(pending_name);
+      if (!name) continue;
+      const std::string to =
+          (fs::path(active_dir()) /
+           (name->stem + "." + worker_id + kSegmentExt))
+              .string();
       std::error_code ec;
-      fs::rename((fs::path(pending_dir()) / name).string(), to, ec);
+      fs::rename((fs::path(pending_dir()) / pending_name).string(), to, ec);
       if (ec) continue;  // stale entry: a peer won it; drop just this one
-      // Stamp the lease; a *missing* file means a recoverer judged the
-      // stale pre-claim mtime expired and took the cell back in the
-      // rename→touch window — it is pending again, so let it go. A
-      // transient write failure keeps the claim (the heartbeat will
-      // re-stamp); abandoning would strand the cell in active/.
+      // rename preserves the pending file's old mtime, so a recoverer
+      // statting in this window can judge the fresh claim expired and
+      // recover it. The touch stamps the lease; if it (or the read) finds
+      // the claim already gone, the members are back in pending, so just
+      // move on. A touch that failed with the file still present keeps
+      // the claim (the next heartbeat re-stamps it); abandoning would
+      // strand the entry.
       if (touch_by_write(to) == Touch::kMissing) continue;
-      claim.indices.push_back(*index);
-      single_paths.push_back(to);
-    }
-    if (claim.indices.size() == 1) {
-      claim.active_name = fs::path(single_paths.front()).filename().string();
-      return claim;
-    }
-    if (claim.indices.size() > 1) {
-      // Coalesce the singles into one leased unit: write the manifest
-      // first (from here on recovery sees the batch), then fold the
-      // per-cell claim files into it. A crash in between leaves both — a
-      // benign double-recovery that re-enqueues each member once.
-      const std::string manifest = active_batch_path(
-          claim.indices.front(), worker_id, claim.indices.size());
-      write_file_atomically(manifest, encode_batch(claim.indices),
-                            "queue batch claim");
-      for (const std::string& path : single_paths) {
-        std::error_code ec;
-        fs::remove(path, ec);
-      }
-      claim.active_name = fs::path(manifest).filename().string();
-      claim.batch = true;
+      auto members = segment_members(to, *name);
+      if (!members) continue;
+      Claim claim;
+      claim.indices = std::move(*members);
+      claim.active_name = fs::path(to).filename().string();
       return claim;
     }
     std::vector<std::string> names;
     std::error_code ec;
     for (const auto& entry : fs::directory_iterator(pending_dir(), ec)) {
       if (!entry.is_regular_file()) continue;
-      const std::string name = entry.path().filename().string();
-      if (has_extension(name, ".cell") || has_extension(name, ".batch")) {
-        names.push_back(name);
-      }
+      std::string name = entry.path().filename().string();
+      if (has_extension(name, kSegmentExt)) names.push_back(std::move(name));
     }
     if (names.empty()) return std::nullopt;
     // Reverse-sorted: pop_back claims lowest indices first (zero-padded
@@ -941,51 +803,46 @@ std::optional<Claim> WorkQueue::try_claim_batch(
   return std::nullopt;
 }
 
+std::string WorkQueue::enqueue_segment(
+    const std::vector<std::size_t>& members) const {
+  const std::string payload = encode_segment(members);
+  const std::string name = segment_stem(members, payload) + kSegmentExt;
+  write_file_atomically((fs::path(pending_dir()) / name).string(), payload,
+                        "queue segment");
+  return name;
+}
+
 void WorkQueue::trim(Claim& claim, std::size_t keep) const {
   if (keep == 0 || claim.indices.size() <= keep) return;
-  BBRM_REQUIRE_MSG(claim.batch, "single-cell claims cannot be trimmed");
-  const std::vector<std::size_t> surplus(
-      claim.indices.begin() + static_cast<std::ptrdiff_t>(keep),
-      claim.indices.end());
+  const auto name = parse_segment_name(claim.active_name);
+  BBRM_REQUIRE_MSG(name.has_value() && !name->worker.empty(),
+                   "malformed claim name: " + claim.active_name);
   std::vector<std::size_t> kept(
       claim.indices.begin(),
       claim.indices.begin() + static_cast<std::ptrdiff_t>(keep));
   // Re-enqueue the surplus *before* shrinking the manifest: if this
   // worker dies in between, recovery re-enqueues the surplus again from
-  // the fat manifest (benign overwrite) — the reverse order could strand
-  // cells in no state at all.
-  std::vector<std::string> requeued;
-  for (const std::size_t index : surplus) {
-    write_file_atomically(pending_path(index), "queued\n", "queue cell");
-    requeued.push_back(index_name(index) + ".cell");
-  }
-  // The manifest moves to a name advertising the kept count (progress
-  // counts cells from names alone). A crash between the write and the
-  // remove leaves both manifests — recovery re-enqueues from each, a
-  // benign duplication.
-  std::string trimmed_name = claim.active_name;
-  if (batch_count_from_name(trimmed_name)) {
-    const auto first = trimmed_name.find('.');
-    const auto second = trimmed_name.find('.', first + 1);
-    trimmed_name = trimmed_name.substr(0, first + 1) +
-                   batch_count_token(keep) + trimmed_name.substr(second);
-  }
-  write_file_atomically((fs::path(active_dir()) / trimmed_name).string(),
-                        encode_batch(kept), "queue batch claim");
-  if (trimmed_name != claim.active_name) {
-    std::error_code ec;
-    fs::remove((fs::path(active_dir()) / claim.active_name).string(), ec);
-  }
+  // the fat manifest (a benign duplicate) — the reverse order could
+  // strand cells in no state at all.
+  std::string requeued = enqueue_segment(std::vector<std::size_t>(
+      claim.indices.begin() + static_cast<std::ptrdiff_t>(keep),
+      claim.indices.end()));
+  // The manifest moves to the kept members' name. A crash between the
+  // write and the remove leaves both manifests — recovery re-enqueues
+  // from each, a benign duplication.
+  const std::string payload = encode_segment(kept);
+  std::string trimmed =
+      segment_stem(kept, payload) + "." + name->worker + kSegmentExt;
+  write_file_atomically((fs::path(active_dir()) / trimmed).string(), payload,
+                        "queue segment claim");
+  std::error_code ec;
+  fs::remove((fs::path(active_dir()) / claim.active_name).string(), ec);
   // Mutate the claim only now that every write landed: a throw above
   // leaves it covering all members, so the caller's release() can still
   // return every unpublished cell.
-  claim.active_name = std::move(trimmed_name);
+  claim.active_name = std::move(trimmed);
   claim.indices = std::move(kept);
-  backlog_insert(std::move(requeued));
-}
-
-bool WorkQueue::renew(std::size_t index, const std::string& worker_id) const {
-  return touch_by_write(active_path(index, worker_id)) == Touch::kOk;
+  backlog_insert({std::move(requeued)});
 }
 
 bool WorkQueue::renew(const Claim& claim) const {
@@ -1000,11 +857,6 @@ void WorkQueue::publish(const sweep::TaskResult& result) const {
 
 void WorkQueue::publish(const sweep::TaskResult& result,
                         const std::string& worker_id) const {
-  if (layout() == QueueLayout::kPerCell) {
-    write_file_atomically(result_path(result.task.index),
-                          encode_result_file(result), "queue result");
-    return;
-  }
   if (!result.ok) {
     // Failures stay per-cell files: they are rare (O(failures), not
     // O(cells), directory entries), and the re-seed retry contract needs
@@ -1039,70 +891,59 @@ void WorkQueue::publish(const sweep::TaskResult& result,
   if (pub.unflushed >= kCheckpointEvery) write_checkpoint_locked(id, pub);
 }
 
-void WorkQueue::complete(const sweep::TaskResult& result,
-                         const std::string& worker_id) const {
-  publish(result, worker_id);
-  if (layout() == QueueLayout::kSegment) flush_published();
-  // Release the claim. ENOENT is fine: an expired lease may already have
-  // been re-enqueued or reclaimed — the published bytes are identical
-  // either way, so the race is benign.
-  std::error_code ec;
-  fs::remove(active_path(result.task.index, worker_id), ec);
-}
-
 void WorkQueue::finish(const Claim& claim) const {
-  // Claim-unit boundary: bring the publish checkpoints current before the
-  // manifest disappears, so the cheap counters path stays one short tail
-  // scan per log.
-  if (layout() == QueueLayout::kSegment) flush_published();
+  // ENOENT is fine: an expired lease may already have been recovered —
+  // the published bytes are identical either way, so the race is benign.
   std::error_code ec;
   fs::remove((fs::path(active_dir()) / claim.active_name).string(), ec);
 }
 
-void WorkQueue::release(std::size_t index,
-                        const std::string& worker_id) const {
+std::size_t WorkQueue::requeue(const std::string& active_name,
+                               const std::vector<std::size_t>& members,
+                               const std::vector<std::size_t>& unpublished,
+                               std::vector<std::string>& requeued) const {
+  const std::string from = (fs::path(active_dir()) / active_name).string();
   std::error_code ec;
-  fs::rename(active_path(index, worker_id), pending_path(index), ec);
-  // ENOENT: the lease already expired and was recovered — nothing to do.
-  if (!ec) backlog_insert({index_name(index) + ".cell"});
+  if (unpublished.size() == members.size()) {
+    // Nothing landed: the entry's bytes already are the pending segment's,
+    // so one rename returns it whole. ENOENT means a peer recovered (or
+    // the owner released) it first.
+    const auto name = parse_segment_name(active_name);
+    if (!name) return 0;
+    std::string pending = name->stem + kSegmentExt;
+    fs::rename(from, (fs::path(pending_dir()) / pending).string(), ec);
+    if (ec) return 0;
+    requeued.push_back(std::move(pending));
+    return members.size();
+  }
+  // Enqueue the survivors *before* dropping the manifest that lists them:
+  // a crash in between re-enqueues them twice (benign), never zero times.
+  if (!unpublished.empty()) requeued.push_back(enqueue_segment(unpublished));
+  fs::remove(from, ec);
+  return unpublished.size();
 }
 
 void WorkQueue::release(const Claim& claim) const {
-  if (!claim.batch) {
-    // Reconstruct the worker id from the claim file name
-    // ("<index>.<worker>.cell") so the single-cell path stays one rename.
-    const std::string name = claim.active_name;
-    const auto first = name.find('.');
-    const auto last = name.rfind('.');
-    BBRM_REQUIRE_MSG(first != std::string::npos && last > first + 1,
-                     "malformed claim name: " + name);
-    release(claim.indices.front(), name.substr(first + 1, last - first - 1));
-    return;
+  std::vector<std::size_t> unpublished;
+  {
+    std::optional<std::unique_lock<std::mutex>> result_lock;
+    for (const std::size_t index : claim.indices) {
+      if (!result_published(index, result_lock)) unpublished.push_back(index);
+    }
   }
   std::vector<std::string> requeued;
-  std::optional<std::unique_lock<std::mutex>> result_lock;
-  for (const std::size_t index : claim.indices) {
-    if (result_published(index, result_lock)) continue;  // already landed
-    write_file_atomically(pending_path(index), "queued\n", "queue cell");
-    requeued.push_back(index_name(index) + ".cell");
-  }
-  result_lock.reset();
-  finish(claim);
+  requeue(claim.active_name, claim.indices, unpublished, requeued);
   backlog_insert(std::move(requeued));
 }
 
-/// Has a result for `index` landed, in whichever representation this
-/// queue uses? `result_lock` implements refresh-once-per-sweep: the first
-/// segment-layout query takes result_mutex_ and refreshes the log index,
-/// later queries under the same optional are map lookups plus one
-/// failed-file stat. Callers reset the optional before touching any path
-/// that could publish.
+/// Has a result for `index` landed? `result_lock` implements
+/// refresh-once-per-sweep: the first query takes result_mutex_ and
+/// refreshes the log index, later queries under the same optional are map
+/// lookups plus one failed-file stat. Callers reset the optional before
+/// touching any path that could publish.
 bool WorkQueue::result_published(
     std::size_t index,
     std::optional<std::unique_lock<std::mutex>>& result_lock) const {
-  if (layout() == QueueLayout::kPerCell) {
-    return fs::exists(result_path(index));
-  }
   if (!result_lock) {
     result_lock.emplace(result_mutex_);
     refresh_result_index_locked();
@@ -1124,9 +965,6 @@ void WorkQueue::backlog_insert(std::vector<std::string> names) const {
 }
 
 std::size_t WorkQueue::done_count() const {
-  if (layout() == QueueLayout::kPerCell) {
-    return count_cells(results_dir());
-  }
   // Exact: |distinct ok indices in the logs| + |failed cells without an
   // ok record|. The refresh is incremental — each call stats the logs and
   // reads only bytes appended since the last call.
@@ -1140,24 +978,16 @@ std::size_t WorkQueue::done_count() const {
 }
 
 QueueCounters WorkQueue::counters() const {
+  check_plan_stamp();
   QueueCounters c;
-  c.layout = layout();
-  if (c.layout == QueueLayout::kPerCell) {
-    // Legacy layout has no cheap path: fall back to the directory census
-    // plus the plan header for the total.
-    const QueueProgress p = progress();
-    c.pending = p.pending;
-    c.active = p.active;
-    c.done = p.done;
-    c.total = plan_size_hint().value_or(p.pending + p.active + p.done);
-    return c;
-  }
   const auto stored = read_stored_counters(counters_path());
-  BBRM_REQUIRE_MSG(stored.has_value(),
-                   "queue " + dir_ +
-                       " uses the segment layout but its counters file is "
-                       "missing or damaged (" +
-                       counters_path() + ")");
+  if (!stored) {
+    BBRM_REQUIRE_MSG(!has_plan(), "queue " + dir_ +
+                                      " has a plan but its counters file "
+                                      "is missing or damaged (" +
+                                      counters_path() + ")");
+    return c;  // nothing seeded yet
+  }
   c.total = stored->total;
   c.segment_cells = stored->segment_cells;
   // Done = checkpoints + bounded tail scans. Logs are discovered through
@@ -1177,23 +1007,16 @@ QueueCounters WorkQueue::counters() const {
     c.done += static_cast<std::size_t>(
         records + scan_log_records(log_path(worker), covered).records);
   }
-  for (const auto& entry : fs::directory_iterator(failed_dir(), ec)) {
-    if (!entry.is_regular_file()) continue;
-    if (has_extension(entry.path().filename().string(), ".cell")) {
-      ++c.failed;
-    }
-  }
+  c.failed = list_failed().size();
   c.done += c.failed;
-  // Active cells from claim names alone (the batch count token); members
+  // Active cells from claim names alone (the count token); members
   // already published still count, so done + active can briefly exceed
   // total for in-flight segments — pending clamps rather than wrap.
   for (const auto& entry : fs::directory_iterator(active_dir(), ec)) {
     if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (has_extension(name, ".cell")) {
-      ++c.active;
-    } else if (has_extension(name, ".batch")) {
-      c.active += batch_count_from_name(name).value_or(1);
+    if (const auto name =
+            parse_segment_name(entry.path().filename().string())) {
+      c.active += name->count;
     }
   }
   c.pending = c.total > c.done + c.active ? c.total - c.done - c.active : 0;
@@ -1219,11 +1042,9 @@ std::size_t WorkQueue::recover_expired() const {
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(active_dir(), ec)) {
     if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    const bool is_batch = has_extension(name, ".batch");
-    if (!is_batch && !has_extension(name, ".cell")) continue;
-    const auto index = parse_index_name(name);
-    if (!index) continue;
+    const std::string active_name = entry.path().filename().string();
+    const auto name = parse_segment_name(active_name);
+    if (!name) continue;
     const auto mtime = entry.last_write_time(ec);
     if (ec) continue;
     if (!now_ref) {
@@ -1232,37 +1053,21 @@ std::size_t WorkQueue::recover_expired() const {
     const double age_s =
         std::chrono::duration<double>(*now_ref - mtime).count();
     if (age_s <= expiry_s) continue;
-    if (is_batch) {
-      // Re-enqueue only the members whose result never landed; published
-      // ones are done, only the claim is stale. A manifest that vanished
-      // since the listing was finished (or recovered) by its owner —
-      // nothing left to do.
-      const auto members =
-          read_batch_members_if_present(entry.path().string());
-      if (!members) continue;
-      for (const std::size_t member : *members) {
-        if (result_published(member, result_lock)) continue;
-        write_file_atomically(pending_path(member), "queued\n",
-                              "queue cell");
-        requeued.push_back(index_name(member) + ".cell");
-        ++recovered;
+    // Re-enqueue only the members whose result never landed; published
+    // ones are done, only the claim is stale. A manifest that vanished
+    // since the listing was finished (or recovered) by its owner —
+    // nothing left to do.
+    const auto members = segment_members(entry.path().string(), *name);
+    if (!members) continue;
+    std::vector<std::size_t> unpublished;
+    for (const std::size_t member : *members) {
+      if (!result_published(member, result_lock)) {
+        unpublished.push_back(member);
       }
-      fs::remove(entry.path(), ec);
-      continue;
     }
-    if (result_published(*index, result_lock)) {
-      // The worker died (or lost its lease) after publishing: the work is
-      // done, only the claim is stale.
-      fs::remove(entry.path(), ec);
-      continue;
-    }
-    fs::rename(entry.path(), pending_path(*index), ec);
-    if (!ec) {  // a concurrent recoverer may have won; fine
-      requeued.push_back(index_name(*index) + ".cell");
-      ++recovered;
-    }
+    recovered += requeue(active_name, *members, unpublished, requeued);
   }
-  // The re-enqueued cells were not in the cached claim backlog (it was
+  // The re-enqueued segments were not in the cached claim backlog (it was
   // listed before they came back); insert them at their sorted positions
   // so the next claim picks them up without a full relist. Peer processes
   // converge the slower way — their stale backlogs drain and refresh on
@@ -1271,47 +1076,7 @@ std::size_t WorkQueue::recover_expired() const {
   return recovered;
 }
 
-QueueProgress WorkQueue::progress() const {
-  QueueProgress p;
-  p.pending = count_cells(pending_dir());
-  p.done = done_count();
-  std::optional<std::unique_lock<std::mutex>> result_lock;
-  // A batch publishes per member, so its manifest keeps covering cells
-  // whose results already landed — counting those as active would push
-  // done+active+pending past the plan size for the whole life of every
-  // in-flight batch. Active entries are bounded by in-flight claims (not
-  // plan size), so reading the few manifests here stays cheap; singles
-  // still count as claimed even when published (a visible stale claim is
-  // a crash artifact recovery will drop).
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(active_dir(), ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (has_extension(name, ".cell")) {
-      ++p.active;
-    } else if (has_extension(name, ".batch")) {
-      // Display path: tolerate damage like count_cells does (an
-      // undecodable manifest counts as one entry) — a status view must
-      // not crash where the claim/recover paths will report loudly.
-      const auto bytes = read_text_file(entry.path().string());
-      if (!bytes) continue;  // finished/recovered since the listing
-      const auto members = decode_batch(*bytes);
-      if (!members) {
-        ++p.active;
-        continue;
-      }
-      for (const std::size_t member : *members) {
-        if (!result_published(member, result_lock)) ++p.active;
-      }
-    }
-  }
-  return p;
-}
-
 std::optional<bool> WorkQueue::result_ok(std::size_t index) const {
-  if (layout() == QueueLayout::kPerCell) {
-    return result_file_ok(result_path(index));
-  }
   {
     std::lock_guard<std::mutex> lock(result_mutex_);
     refresh_result_index_locked();
@@ -1323,9 +1088,6 @@ std::optional<bool> WorkQueue::result_ok(std::size_t index) const {
 
 std::optional<sweep::TaskResult> WorkQueue::load_result(
     const sweep::SweepTask& task) const {
-  if (layout() == QueueLayout::kPerCell) {
-    return load_result_file(result_path(task.index), task);
-  }
   {
     std::lock_guard<std::mutex> lock(result_mutex_);
     refresh_result_index_locked();
@@ -1685,20 +1447,21 @@ QueueMetrics& queue_metrics() {
 
 }  // namespace
 
+
 WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
                         const sweep::SweepOptions& options,
                         const WorkerConfig& config) {
   require_worker_id(config.worker_id);
   BBRM_REQUIRE_MSG(config.poll_s > 0.0, "poll interval must be positive");
-  BBRM_REQUIRE_MSG(config.batch >= 1, "batch size must be at least 1");
   const std::string& worker_id = config.worker_id;
   const std::size_t max_cells = config.max_cells;
 
-  // One options template per claimed unit: tasks go through the ordinary
-  // engine path, so caching, timeout, and retry behave exactly as in a
-  // single-process sweep. Parallelism comes from concurrent claim loops,
-  // not from the per-unit pool; batch_cells decides whether the cells of
-  // a unit run one at a time or grouped through a batch-capable runner.
+  // One options template per claimed segment: tasks go through the
+  // ordinary engine path, so caching, timeout, and retry behave exactly as
+  // in a single-process sweep. Parallelism comes from concurrent claim
+  // loops, not from a per-segment pool; batch_cells decides whether the
+  // cells of a segment run one at a time or grouped through a
+  // batch-capable runner.
   sweep::SweepOptions cell_options = options;
   cell_options.threads = 1;
   cell_options.shard = {};
@@ -1716,7 +1479,7 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
 
   // Heartbeat: one background thread renews every in-flight lease well
   // inside the expiry window, so long cells survive short leases — one
-  // touch per claimed *unit*, however many cells it batches. The same
+  // touch per claimed segment, however many cells it holds. The same
   // cadence refreshes this worker's stats file when asked to.
   std::mutex mutex;
   std::map<std::string, Claim> in_flight;  // by active_name
@@ -1803,10 +1566,19 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
     }
   });
 
-  // max_cells is a publish *budget*: a loop reserves its slots before it
-  // claims (and returns unused slots on a short or failed claim), so
-  // concurrent loops cannot overshoot the cap by claiming simultaneously.
+  // max_cells is a publish *budget* shared by every claim loop: a loop
+  // reserves slots for the segment it just claimed (all of them, or what
+  // is left) and trims the rest back to pending, so concurrent loops
+  // cannot overshoot the cap.
   std::atomic<std::size_t> budget{0};
+  const auto reserve = [&](std::size_t want) {
+    std::size_t spent = budget.load();
+    while (spent < max_cells) {
+      const std::size_t take = std::min(want, max_cells - spent);
+      if (budget.compare_exchange_weak(spent, spent + take)) return take;
+    }
+    return std::size_t{0};
+  };
   std::atomic<bool> abort{false};
   std::exception_ptr first_error;
   const std::size_t loops = std::max<std::size_t>(
@@ -1815,65 +1587,47 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
 
   const auto claim_loop = [&] {
     while (!abort.load()) {
-      std::size_t reserved = config.batch;
-      if (max_cells != 0) {
-        std::size_t spent = budget.load();
-        while (true) {
-          if (spent >= max_cells) return;  // budget exhausted
-          const std::size_t take =
-              std::min(config.batch, max_cells - spent);
-          if (budget.compare_exchange_weak(spent, spent + take)) {
-            reserved = take;
-            break;
-          }
-        }
-      }
+      if (max_cells != 0 && budget.load() >= max_cells) return;
       const auto claim_start = std::chrono::steady_clock::now();
       std::optional<Claim> claim;
       {
         obs::Span span("claim", "queue");
-        claim = queue.try_claim_batch(worker_id, reserved);
+        claim = queue.try_claim_segment(worker_id);
         if (!claim) {
           // Nothing pending: a crashed peer may be holding expired leases.
           obs::Span recover_span("recover", "queue");
           queue.recover_expired();
-          claim = queue.try_claim_batch(worker_id, reserved);
+          claim = queue.try_claim_segment(worker_id);
         }
         if (claim) {
           span.arg("cells", static_cast<std::uint64_t>(claim->indices.size()));
         }
       }
-      if (claim) {
-        queue_metrics().claims.add();
-        queue_metrics().cells_claimed.add(claim->indices.size());
-        queue_metrics().claim_latency_s.observe(
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          claim_start)
-                .count());
-      }
       if (!claim) {
-        if (max_cells != 0) budget.fetch_sub(reserved);  // nothing to spend
         if (queue.done_count() >= plan.size()) return;
         std::this_thread::sleep_for(
             std::chrono::duration<double>(config.poll_s));
         continue;
       }
-      // `charged` tracks the budget slots this claim still holds, so the
-      // failure path can give back exactly what was never published.
-      std::size_t charged = reserved;
+      queue_metrics().claims.add();
+      queue_metrics().cells_claimed.add(claim->indices.size());
+      queue_metrics().claim_latency_s.observe(
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        claim_start)
+              .count());
+      // `charged` tracks the budget slots this claim holds, so the failure
+      // path can give back exactly what was never published.
+      std::size_t charged = 0;
       std::size_t published = 0;
       bool registered = false;
       try {
-        // A pre-chunked batch may exceed the reservation (it is claimed
-        // whole by one rename); give the surplus back so --batch and
-        // --max-cells stay exact.
-        if (claim->indices.size() > reserved) {
-          queue.trim(*claim, reserved);
-        } else if (claim->indices.size() < reserved) {
-          if (max_cells != 0) {
-            budget.fetch_sub(reserved - claim->indices.size());
+        if (max_cells != 0) {
+          charged = reserve(claim->indices.size());
+          if (charged == 0) {  // a peer loop spent the last slots
+            queue.release(*claim);
+            return;
           }
-          charged = claim->indices.size();
+          queue.trim(*claim, charged);
         }
         {
           std::lock_guard<std::mutex> lock(mutex);
@@ -1894,22 +1648,19 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
             in_flight_cells.fetch_sub(1);
             completed.fetch_add(1);
             if (!result.row(0).ok) failed.fetch_add(1);
-            // A kill mid-batch must still find this cell's credit in the
+            // A kill mid-segment must still find this cell's credit in the
             // stats file (throttled, so fast drains keep their write
             // budget for results).
             write_stats_throttled();
           }
         } else {
-          // Group the unit's cells through one run_tasks call so a
-          // batch-capable runner takes them in work units (bitwise
-          // identical to the cell-at-a-time path).
-          // run_tasks wants strictly increasing task indices; a claim's
-          // members may be coalesced singles in any order.
-          std::vector<std::size_t> ordered(claim->indices);
-          std::sort(ordered.begin(), ordered.end());
+          // Group the segment's cells (ascending, as run_tasks wants)
+          // through one run_tasks call so a batch-capable runner takes
+          // them in work units (bitwise identical to the cell-at-a-time
+          // path).
           std::vector<sweep::SweepTask> unit;
-          unit.reserve(ordered.size());
-          for (const std::size_t index : ordered) {
+          unit.reserve(claim->indices.size());
+          for (const std::size_t index : claim->indices) {
             unit.push_back(plan.cell_by_index(index));
           }
           const auto result = sweep::run_tasks(unit, cell_options);
@@ -1929,7 +1680,7 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
         write_stats_throttled();
       } catch (...) {
         // Give the unfinished members back right away (and stop
-        // heartbeating the unit): peers must not wait out a lease for
+        // heartbeating the segment): peers must not wait out a lease for
         // work this worker knows it abandoned — including when the
         // failure struck in trim() or the bookkeeping above, before any
         // member ran. Runner failures never land here — they are

@@ -6,52 +6,48 @@
 // ones — rename atomicity and reasonably coherent mtimes are the only
 // requirements):
 //
-//   <dir>/plan.bbrplan            the serialized ExecutionPlan (layout 2
-//                                 prefixes it with "bbrm-queue-layout=2")
-//   <dir>/pending/<index>.cell    one file per unclaimed cell
-//   <dir>/pending/<index>.bK.batch   one file per unclaimed K-cell batch
-//                                 (first member's index; members listed
-//                                 one per line inside; K in the name so
-//                                 progress counts without opening files)
-//   <dir>/active/<index>.<worker>.cell        a claimed cell (lease)
-//   <dir>/active/<index>.bK.<worker>.batch    a claimed batch (one lease
-//                                             for all members)
-//   <dir>/results/<index>.cell    layout 1: a finished cell
-//   <dir>/results/<worker>.rlog   layout 2: one append-only binary log of
-//                                 finished cells per worker (framed
-//                                 records, hash-sealed tails)
-//   <dir>/failed/<index>.cell     layout 2: a *failed* cell (rare; kept
-//                                 per-cell so re-seeding can drop it)
-//   <dir>/counters                layout 2: total/segment size, written
-//                                 once at seed (O(1) status)
-//   <dir>/workers/<id>.pub        layout 2: per-worker publish checkpoint
-//                                 (records + log bytes covered) — an
-//                                 accelerator, not an authority: readers
-//                                 tail-scan each log past its checkpoint
+//   <dir>/plan.bbrplan            "bbrm-queue-layout=3", then the
+//                                 serialized ExecutionPlan
+//   <dir>/counters                total/segment size, written once at seed
+//                                 (O(1) status)
+//   <dir>/pending/<first>.<K>.<digest>.seg           an unclaimed segment
+//                                 of K cells (members listed inside; first
+//                                 member, count and a digest of the member
+//                                 list in the name)
+//   <dir>/active/<first>.<K>.<digest>.<worker>.seg   a claimed segment
+//                                 (one lease for all its members)
+//   <dir>/results/<worker>.rlog   one append-only binary log of finished
+//                                 cells per worker (framed records,
+//                                 hash-sealed tails)
+//   <dir>/failed/<index>.cell     a *failed* cell (rare; kept per-cell so
+//                                 re-seeding can drop it)
+//   <dir>/workers/<id>.pub        per-worker publish checkpoint (records +
+//                                 log bytes covered) — an accelerator, not
+//                                 an authority: readers tail-scan each log
+//                                 past its checkpoint
 //   <dir>/workers/<id>.stats      per-worker progress (heartbeat mtime)
 //   <dir>/probe                   mtime reference for lease expiry
 //
-// Two result layouts share the claim protocol. Layout 1 (per-cell,
-// legacy) publishes one `results/<index>.cell` per finished cell — O(cells)
-// file creates and readdirs, fine up to ~10^5 cells. Layout 2 (segment)
-// seeds pending work as K-cell segment files (the existing batch entries;
-// a segment is still claimed by one rename), appends finished cells to a
-// per-worker binary log, and keeps `bbrsweep status` O(1) through the
-// counters file plus per-worker checkpoints — the filesystem holds
-// O(cells/K) entries however big the plan. The layout is stamped into
-// plan.bbrplan at seed time and detected by everyone else from the stamp,
-// so old queue directories keep draining with the per-cell code paths and
-// mixed-layout re-seeding fails the plan byte-compare loudly.
+// The K-cell segment is the queue's only unit of work. The seed chunks the
+// plan into segments of a fixed size (K = 1 is the per-cell case: the name
+// carries the one member, so claiming it reads nothing), a worker claims a
+// whole segment by one rename, and results publish per cell into the
+// worker's log, so a crash mid-segment only re-enqueues the unpublished
+// members — as one new segment. The filesystem holds O(cells/K) entries
+// however big the plan, and `bbrsweep status` stays O(1) through the
+// counters file plus the per-worker checkpoints. Directories seeded under
+// an older layout (unstamped, or stamped =2) may hold per-cell entries this
+// code would strand; seeding, loading the plan and counters() refuse them
+// with a "re-seed into a fresh directory" error.
 //
-// Mutual exclusion comes from rename(2): a worker claims a pending entry
+// Mutual exclusion comes from rename(2): a worker claims a pending segment
 // by renaming it into active/ under the worker's name — the filesystem
-// guarantees exactly one renamer wins, and the loser simply moves on. A
-// pending entry is one cell or one batch of K cells; either way the claim
-// is a single rename, which is what lets fast runners (the closed-form
-// reduced theory) drain large plans without the queue itself becoming the
-// bottleneck. Batches are claimed, leased, released, and recovered as one
-// unit, but results publish per cell, so a crash mid-batch only
-// re-enqueues the unfinished members.
+// guarantees exactly one renamer wins, and the loser simply moves on. One
+// rename per segment is what lets fast runners (the closed-form reduced
+// theory) drain large plans without the queue itself becoming the
+// bottleneck. A segment's name is a function of its member list, so two
+// re-enqueues that meet under one name always write identical bytes: an
+// overwrite can never drop a member of either.
 //
 // A lease is the active file's mtime plus the queue's lease duration.
 // Workers heartbeat by *writing* a byte back into their active files (not
@@ -63,9 +59,9 @@
 // worker's lease. Anyone (worker or coordinator) may re-enqueue an
 // expired entry — that is the whole crash story. A worker that lost its
 // lease but finishes anyway publishes bytes identical to the re-run
-// (runners are deterministic), so every race here is benign: results are
-// published by atomic rename and double-completion rewrites the same
-// bytes.
+// (runners are deterministic), so every race here is benign: readers keep
+// the first record of a cell, and double completion only appends the same
+// bytes again.
 //
 // Results stream out one cell at a time — a worker holds at most its
 // in-flight cells in memory, and the collector emits the final CSV/JSON
@@ -73,6 +69,7 @@
 // so the merged output is byte-identical to `run_sweep` by construction.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -91,52 +88,27 @@
 
 namespace bbrmodel::orchestrator {
 
-/// How a queue directory stores results (see the layout table above).
-enum class QueueLayout {
-  kPerCell = 1,  ///< one results/<index>.cell per finished cell (legacy)
-  kSegment = 2,  ///< per-worker result logs + counters file
-};
-
-/// The O(1) status view of a segment-layout queue: totals from the
+/// The queue's one progress view, O(1) in the plan size: totals from the
 /// seed-time counters file, done from the per-worker publish checkpoints
 /// (plus a bounded tail scan of each log past its checkpoint), active from
 /// the in-flight claim names, pending derived. `done` counts published
 /// records, so a benign double-completion (a lease steal where both
 /// workers finish) can transiently overcount — completion decisions use
-/// the exact done_count(), displays use this. On a per-cell-layout queue
-/// counters() falls back to the directory census, so callers need not
-/// branch.
+/// the exact done_count(), displays use this.
 struct QueueCounters {
-  std::size_t total = 0;    ///< plan size (0 when unknown)
+  std::size_t total = 0;    ///< plan size (0 before a seed)
   std::size_t done = 0;     ///< published cells (records + failed files)
   std::size_t failed = 0;   ///< of done, cells whose task failed
   std::size_t active = 0;   ///< cells covered by live claims
   std::size_t pending = 0;  ///< total - done - active (clamped at 0)
-  std::size_t segment_cells = 0;  ///< seed-time segment size (layout 2)
-  QueueLayout layout = QueueLayout::kPerCell;
+  std::size_t segment_cells = 0;  ///< seed-time segment size
 };
 
-/// Queue directory census, from one pass over the three state dirs.
-/// Counts are cells, not files: a pending batch contributes every member
-/// it lists, an active batch only the members whose result has not been
-/// published yet — so done + active + pending never exceeds the plan,
-/// except transiently while a batch is being trimmed or recovered (the
-/// crash-safe ordering re-enqueues members *before* shrinking the
-/// manifest that still lists them, so a concurrent census can briefly
-/// count those members twice).
-struct QueueProgress {
-  std::size_t pending = 0;
-  std::size_t active = 0;
-  std::size_t done = 0;
-};
-
-/// One claimed unit of work: a single cell or a whole batch. The member
-/// indices are ascending; `active_name` is the claim file under active/
-/// that carries the unit's lease.
+/// One claimed segment. The member indices are ascending; `active_name`
+/// is the claim file under active/ that carries the segment's lease.
 struct Claim {
   std::vector<std::size_t> indices;
   std::string active_name;
-  bool batch = false;
 };
 
 /// One worker's progress snapshot, written to workers/<id>.stats on every
@@ -205,35 +177,25 @@ class WorkQueue {
   double lease_s() const { return lease_s_; }
   double skew_margin_s() const { return skew_margin_s_; }
 
-  /// Coordinator: publish the plan and this queue's lease parameters,
-  /// then enqueue every cell that is not already claimed or finished —
-  /// as single-cell entries, or chunked into `batch`-cell batch files
-  /// claimable by one rename each. Cells whose stored result is *failed*
-  /// are re-enqueued (the result file is dropped): a transient failure
-  /// must be re-attempted on the next run, never served forever.
-  /// Idempotent — re-seeding after a coordinator crash resumes the run;
-  /// seeding a *different* plan into a non-empty queue throws
-  /// (byte-compared against the stored plan, which also rejects mixing
-  /// layouts in one directory — the layout stamp is part of the bytes).
+  /// Coordinator: publish the plan, the counters file and this queue's
+  /// lease parameters, then enqueue every cell that is not already
+  /// claimed or finished, chunked into segments claimable by one rename
+  /// each. Cells whose stored result is *failed* are re-enqueued (the
+  /// failed file is dropped): a transient failure must be re-attempted on
+  /// the next run, never served forever. Idempotent — re-seeding after a
+  /// coordinator crash resumes the run; seeding a *different* plan into a
+  /// non-empty queue throws (byte-compared against the stored plan), and
+  /// a directory seeded under an older layout is refused with a re-seed
+  /// error.
   ///
-  /// `segment_cells` > 0 selects the segment layout: pending work is
-  /// chunked into segments of that many cells (superseding `batch`),
-  /// results go to per-worker logs, and status is O(1) through the
-  /// counters file. 0 keeps the legacy per-cell layout with `batch`-cell
-  /// chunking.
+  /// Both size arguments name the segment size: `segment_cells` when it
+  /// is nonzero, else `batch` (the older spelling, still accepted).
   void seed(const ExecutionPlan& plan, std::size_t batch = 1,
             std::size_t segment_cells = 0) const;
 
   bool has_plan() const;
+  /// The stored plan; refuses a directory seeded under an older layout.
   ExecutionPlan load_plan() const;
-
-  /// The stored layout, detected from the plan file's stamp. kPerCell
-  /// before a plan exists (and for every pre-stamp directory).
-  QueueLayout layout() const;
-
-  /// The stored plan's cell count from its header lines alone — no full
-  /// parse of a million specs. nullopt when no plan is stored.
-  std::optional<std::size_t> plan_size_hint() const;
 
   /// The lease duration / skew margin the seeding coordinator recorded in
   /// `dir`, if any. Workers adopt them unless explicitly overridden —
@@ -243,91 +205,63 @@ class WorkQueue {
   static std::optional<double> stored_lease_s(const std::string& dir);
   static std::optional<double> stored_skew_margin_s(const std::string& dir);
 
-  /// Worker: claim the lowest-index pending cell by atomic rename.
-  /// nullopt when nothing is pending (work may still be active
-  /// elsewhere). `worker_id` must be filesystem-safe ([A-Za-z0-9_-]).
-  /// Single-cell API: throws when the queue was seeded with batches (use
-  /// try_claim_batch, which handles both).
-  std::optional<std::size_t> try_claim(const std::string& worker_id) const;
+  /// Worker: claim the lowest pending segment, whole, by one atomic
+  /// rename — a single leased unit with one heartbeat file, however many
+  /// cells it holds. nullopt when nothing is pending (work may still be
+  /// active elsewhere). `worker_id` must be filesystem-safe
+  /// ([A-Za-z0-9_-]).
+  std::optional<Claim> try_claim_segment(const std::string& worker_id) const;
 
-  /// Worker: claim up to `max_cells` cells as one leased unit with a
-  /// single heartbeat file. A pending batch entry is claimed whole by one
-  /// rename (even when it holds more than `max_cells` members — trim()
-  /// gives the surplus back); pending singles are claimed individually
-  /// and coalesced into one batch manifest. nullopt when nothing is
-  /// pending.
-  std::optional<Claim> try_claim_batch(const std::string& worker_id,
-                                       std::size_t max_cells) const;
-
-  /// Give the tail of an oversized claim back to the queue: members past
-  /// `keep` are re-enqueued as pending singles and the claim's manifest
-  /// shrinks to the kept members (the owning worker is baked into the
-  /// claim). Needed when a pre-chunked batch exceeds a worker's --batch
-  /// or its remaining --max-cells budget.
+  /// Give the tail of a claim back to the queue: members past `keep` are
+  /// re-enqueued as one pending segment and the claim's manifest shrinks
+  /// to the kept members (the owning worker is baked into the claim).
+  /// Needed when a segment exceeds a worker's remaining --max-cells
+  /// budget.
   void trim(Claim& claim, std::size_t keep) const;
 
-  /// Heartbeat: refresh the lease on a cell this worker claimed. Returns
+  /// Heartbeat a claim (one touch regardless of segment size). Returns
   /// false when the lease is no longer held (expired and re-enqueued or
   /// reclaimed) — the computation may finish anyway; publishing a result
   /// twice is benign.
-  bool renew(std::size_t index, const std::string& worker_id) const;
-
-  /// Heartbeat a whole claim unit (one touch regardless of batch size).
   bool renew(const Claim& claim) const;
 
-  /// Publish one finished cell without touching the claim — the per-cell
-  /// half of batch completion, so a crash mid-batch loses only the
-  /// unpublished members. Per-cell layout: an atomic rename into
-  /// results/. Segment layout: one framed, hash-sealed append to
-  /// `worker_id`'s result log (failed cells go to per-cell files under
-  /// failed/ so a re-seed can drop and retry them); the no-worker
-  /// overload logs under this process's default worker id.
+  /// Publish one finished cell without touching the claim, so a crash
+  /// mid-segment loses only the unpublished members: one framed,
+  /// hash-sealed append to `worker_id`'s result log (failed cells go to
+  /// per-cell files under failed/ so a re-seed can drop and retry them);
+  /// the no-worker overload logs under this process's default worker id.
   void publish(const sweep::TaskResult& result) const;
   void publish(const sweep::TaskResult& result,
                const std::string& worker_id) const;
 
-  /// Publish a finished cell (atomic rename) and release the claim —
-  /// single-cell convenience equal to publish() + finish().
-  void complete(const sweep::TaskResult& result,
-                const std::string& worker_id) const;
-
   /// Drop a claim whose members were all published.
   void finish(const Claim& claim) const;
 
-  /// Return a claimed cell to pending without a result — a worker
-  /// abandoning work it knows it cannot finish (e.g. an exception on its
-  /// way to complete()), so peers need not wait out the lease.
-  void release(std::size_t index, const std::string& worker_id) const;
-
-  /// Release a whole claim: members without a published result go back to
-  /// pending (as singles), published ones are left done, and the claim
-  /// file is dropped.
+  /// Release a claim without finishing it — a worker abandoning work it
+  /// knows it cannot finish, so peers need not wait out the lease.
+  /// Members without a published result go back to pending as one
+  /// segment, published ones are left done, and the claim file is
+  /// dropped.
   void release(const Claim& claim) const;
 
   /// Number of *distinct* finished cells — the completion check worker
-  /// loops poll with. Per-cell layout: one directory count. Segment
-  /// layout: the incremental result index (each log byte is read once per
-  /// process, then only growth), exact even under benign double
-  /// completion.
+  /// loops poll with. Backed by the incremental result index (each log
+  /// byte is read once per process, then only growth), exact even under
+  /// benign double completion.
   std::size_t done_count() const;
 
-  /// The O(1) status view (see QueueCounters). Segment layout: reads the
-  /// counters file, the workers/ checkpoints (+ bounded log tails), and
-  /// the in-flight claim names — never pending/ or the result logs in
-  /// full. Per-cell layout: falls back to the directory census with the
-  /// total taken from the plan header.
+  /// The O(1) status view (see QueueCounters): reads the counters file,
+  /// the workers/ checkpoints (+ bounded log tails), and the in-flight
+  /// claim names — never pending/ or the result logs in full. All zero
+  /// before a seed; refuses a directory seeded under an older layout.
   QueueCounters counters() const;
 
   /// Re-enqueue every active entry whose lease expired (probe-relative
-  /// mtime delta > lease + skew margin); stale claims whose result was
-  /// already published are simply dropped, and an expired batch
-  /// re-enqueues only its unpublished members. Returns how many cells
-  /// went back to pending.
+  /// mtime delta > lease + skew margin): its unpublished members go back
+  /// to pending as one segment, and a claim whose members were all
+  /// published is simply dropped. Returns how many cells went back to
+  /// pending.
   std::size_t recover_expired() const;
-
-  /// Counts for progress displays and completion checks (done counts
-  /// result files; completion = done >= plan.size()).
-  QueueProgress progress() const;
 
   /// Read one finished cell back, joining the stored status/metrics with
   /// the plan's task coordinates. nullopt when the cell has no result yet
@@ -377,17 +311,6 @@ class WorkQueue {
   std::string plan_path() const;
   std::string counters_path() const;
   std::string probe_path() const;
-  std::string pending_path(std::size_t index) const;
-  /// Batch file names carry their member count ("<index>.b<count>.batch")
-  /// so progress counting never opens them.
-  std::string pending_batch_path(std::size_t index,
-                                 std::size_t count) const;
-  std::string active_path(std::size_t index,
-                          const std::string& worker_id) const;
-  std::string active_batch_path(std::size_t index,
-                                const std::string& worker_id,
-                                std::size_t count) const;
-  std::string result_path(std::size_t index) const;
   std::string failed_path(std::size_t index) const;
   std::string log_path(const std::string& worker_id) const;
   std::string checkpoint_path(const std::string& worker_id) const;
@@ -400,9 +323,22 @@ class WorkQueue {
   /// Put re-enqueued pending names back into the cached claim backlog at
   /// their sorted positions, so peers see them without a full relist.
   void backlog_insert(std::vector<std::string> names) const;
+  /// Refuse a directory whose plan file carries another layout's stamp
+  /// (or none). Reads the stamp once per handle; passes before a seed.
+  void check_plan_stamp() const;
+  /// Write `members` (ascending, non-empty) as one pending segment and
+  /// return its file name.
+  std::string enqueue_segment(const std::vector<std::size_t>& members) const;
+  /// Return the unpublished members of the active entry `active_name`
+  /// (whose members are `members`) to pending as one segment, then drop
+  /// the entry; the re-enqueued name is appended to `requeued`. Returns
+  /// how many cells went back.
+  std::size_t requeue(const std::string& active_name,
+                      const std::vector<std::size_t>& members,
+                      const std::vector<std::size_t>& unpublished,
+                      std::vector<std::string>& requeued) const;
 
-  /// Segment layout internals. One record of a worker's result log,
-  /// located for on-demand reads.
+  /// One record of a worker's result log, located for on-demand reads.
   struct ResultLoc {
     std::uint32_t log = 0;       ///< index into logs_
     std::uint8_t ok = 1;         ///< the record's ok flag
@@ -424,10 +360,10 @@ class WorkQueue {
   /// Pull every log's new bytes into the result index (one stat per log,
   /// growth read once). Caller must hold result_mutex_.
   void refresh_result_index_locked() const;
-  /// Has `index` a published result? Per-cell layout stats the result
-  /// file. Segment layout refreshes the index into `result_lock` on first
-  /// use (refresh-once-per-sweep for callers probing many members), then
-  /// answers from the index plus one failed-file stat.
+  /// Has `index` a published result? Refreshes the index into
+  /// `result_lock` on first use (refresh-once-per-sweep for callers
+  /// probing many members), then answers from the index plus one
+  /// failed-file stat.
   bool result_published(
       std::size_t index,
       std::optional<std::unique_lock<std::mutex>>& result_lock) const;
@@ -438,7 +374,7 @@ class WorkQueue {
   /// Rewrite one worker's .pub checkpoint from its PubState.
   void write_checkpoint_locked(const std::string& worker_id,
                                PubState& pub) const;
-  /// Flush every dirty publish checkpoint (claim-unit boundaries, exit).
+  /// Flush every dirty publish checkpoint (at exit).
   void flush_published() const;
   /// The set of failed-cell indices (one readdir of failed/, O(failures)).
   std::vector<std::size_t> list_failed() const;
@@ -460,11 +396,10 @@ class WorkQueue {
   mutable std::mutex probe_mutex_;
   mutable std::optional<std::filesystem::file_time_type> probe_value_;
   mutable std::chrono::steady_clock::time_point probe_at_{};
-  /// Layout stamp cache: resolved from the plan file on first use, cached
-  /// only once a plan exists (a directory may be seeded after attach).
-  mutable std::mutex layout_mutex_;
-  mutable std::optional<QueueLayout> layout_;
-  /// Segment layout, reader side: the incremental result index. Each
+  /// Set once the plan file's stamp was found current (a directory may be
+  /// seeded after attach, so a missing plan leaves it unset).
+  mutable std::atomic<bool> stamp_checked_{false};
+  /// Reader side: the incremental result index. Each
   /// log's bytes are read once per process; a refresh is one stat per log
   /// plus whatever grew. Torn tail records (a crash mid-append) stay
   /// unconsumed until they complete or the log is truncated by its
@@ -473,8 +408,8 @@ class WorkQueue {
   mutable std::vector<LogState> logs_;
   mutable std::unordered_map<std::string, std::uint32_t> log_ids_;
   mutable std::unordered_map<std::size_t, ResultLoc> result_index_;
-  /// Segment layout, writer side: per-worker append handles + checkpoint
-  /// accumulators for this process.
+  /// Writer side: per-worker append handles + checkpoint accumulators for
+  /// this process.
   mutable std::mutex publish_mutex_;
   mutable std::map<std::string, PubState> publishers_;
 };
@@ -487,30 +422,38 @@ std::string sanitize_worker_id(std::string id);
 /// Filesystem-safe default worker identity: <hostname>-<pid>.
 std::string default_worker_id();
 
+/// A queue's plan.bbrplan bytes with its layout stamp line dropped, when
+/// it has one — any layout's stamp, or none. This is how plan files are
+/// read outside a live queue (`merge --plan`, the status header), so a
+/// plan pulled out of a directory too old to drain still parses.
+std::string strip_layout_stamp(std::string plan_file);
+
 /// What one run_worker call accomplished.
 struct WorkerReport {
   std::size_t completed = 0;  ///< cells this worker published
   std::size_t failed = 0;     ///< of those, cells whose task failed
 };
 
-/// How one run_worker call behaves (identity, budget, cadence, batching).
+/// How one run_worker call behaves (identity, budget, cadence, work
+/// units). A claim is always one whole seeded segment: the coordinator's
+/// segment size is the only chunking knob.
 struct WorkerConfig {
   /// Claim-file identity ([A-Za-z0-9_-]); required.
   std::string worker_id;
   /// Publish at most this many cells, then return (0 = no limit). Exact
-  /// under concurrent claim loops and batching: oversized claims are
-  /// trimmed back to the remaining budget.
+  /// under concurrent claim loops: a segment bigger than the remaining
+  /// budget is trimmed back to it.
   std::size_t max_cells = 0;
   /// Sleep between empty claim attempts.
   double poll_s = 0.05;
-  /// Cells per claimed unit (>= 1): pending singles are coalesced into
-  /// one leased batch, pre-chunked batches bigger than this are trimmed.
-  std::size_t batch = 1;
-  /// Cells per work unit inside a claimed unit, forwarded to
+  /// Unused: claims take whole segments, so the claim size is the seeded
+  /// segment size. Kept so callers that still set it compile.
+  std::size_t batch = 0;
+  /// Cells per work unit inside a claimed segment, forwarded to
   /// sweep::SweepOptions::batch_cells. With a value > 1 (or 0 = the
-  /// runner's preferred unit size) the cells of a claimed unit go through
-  /// one run_tasks call, whose batch-capable runners take several cells
-  /// per call; 1 runs and publishes one cell at a time. Either way results
+  /// runner's preferred unit size) the cells of a segment go through one
+  /// run_tasks call, whose batch-capable runners take several cells per
+  /// call; 1 runs and publishes one cell at a time. Either way results
   /// are published per cell and are bitwise identical.
   std::size_t batch_cells = 1;
   /// Write workers/<id>.stats on every heartbeat tick (live dashboards).
@@ -521,7 +464,7 @@ struct WorkerConfig {
 };
 
 /// Drain the queue until its plan is complete (or the cell budget is
-/// spent): claim (singly or in batches), execute through the engine
+/// spent): claim a segment, execute through the engine
 /// (runner resolution, caching, timeout, retry per `options` —
 /// options.threads claim loops run concurrently), publish per cell,
 /// repeat. A background heartbeat renews every in-flight lease at lease/4

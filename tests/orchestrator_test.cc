@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -254,6 +255,30 @@ TEST(MergeContext, ExpectedCellsDetectsMissingTail) {
 
 // ---- WorkQueue ------------------------------------------------------------
 
+/// Every member of every pending segment, sorted with duplicates kept: the
+/// directory census that counters() derives its pending count without.
+std::vector<std::size_t> pending_cells(const WorkQueue& queue) {
+  std::vector<std::size_t> cells;
+  for (const auto& entry :
+       fs::directory_iterator(fs::path(queue.dir()) / "pending")) {
+    std::ifstream in(entry.path());
+    std::string line;
+    std::getline(in, line);  // the "segment" header
+    while (std::getline(in, line)) cells.push_back(std::stoul(line));
+  }
+  std::sort(cells.begin(), cells.end());
+  return cells;
+}
+
+/// Publish cell `index`'s synthetic result under `worker_id`.
+void publish_cell(const WorkQueue& queue, const ExecutionPlan& plan,
+                  std::size_t index, const std::string& worker_id) {
+  sweep::TaskResult result;
+  result.task = plan.cell_by_index(index);
+  result.metrics = synthetic_runner().run_one(result.task);
+  queue.publish(result, worker_id);
+}
+
 TEST(WorkQueue, SeedClaimCompleteLifecycle) {
   const auto plan = ExecutionPlan::dense(small_grid(), small_base(), 42,
                                          "synthetic");
@@ -263,38 +288,45 @@ TEST(WorkQueue, SeedClaimCompleteLifecycle) {
   EXPECT_TRUE(queue.has_plan());
   EXPECT_EQ(queue.load_plan().serialize(), plan.serialize());
 
-  auto progress = queue.progress();
-  EXPECT_EQ(progress.pending, plan.size());
-  EXPECT_EQ(progress.active, 0u);
-  EXPECT_EQ(progress.done, 0u);
+  auto counters = queue.counters();
+  EXPECT_EQ(counters.pending, plan.size());
+  EXPECT_EQ(counters.active, 0u);
+  EXPECT_EQ(counters.done, 0u);
+  EXPECT_EQ(pending_cells(queue).size(), plan.size());
 
   // Claims come lowest-index first, and a claimed cell cannot be claimed
   // again — the second worker gets the next one.
-  const auto first = queue.try_claim("worker-a");
+  const auto first = queue.try_claim_segment("worker-a");
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(*first, 0u);
-  const auto second = queue.try_claim("worker-b");
+  EXPECT_EQ(first->indices, (std::vector<std::size_t>{0}));
+  const auto second = queue.try_claim_segment("worker-b");
   ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(*second, 1u);
-  progress = queue.progress();
-  EXPECT_EQ(progress.pending, plan.size() - 2);
-  EXPECT_EQ(progress.active, 2u);
+  EXPECT_EQ(second->indices, (std::vector<std::size_t>{1}));
+  counters = queue.counters();
+  EXPECT_EQ(counters.pending, plan.size() - 2);
+  EXPECT_EQ(counters.active, 2u);
+  EXPECT_EQ(pending_cells(queue).size(), plan.size() - 2);
 
-  // Renewal works while held.
-  EXPECT_TRUE(queue.renew(*first, "worker-a"));
-  EXPECT_FALSE(queue.renew(*first, "worker-b"))
+  // Renewal works while held, and only under the claimant's own name.
+  EXPECT_TRUE(queue.renew(*first));
+  Claim forged = *first;
+  const auto at = forged.active_name.find(".worker-a.");
+  ASSERT_NE(at, std::string::npos);
+  forged.active_name.replace(at, 10, ".worker-b.");
+  EXPECT_FALSE(queue.renew(forged))
       << "a worker cannot renew someone else's lease";
 
-  // Complete publishes the result and releases the claim.
+  // Publish + finish records the result and releases the claim.
   sweep::TaskResult result;
-  result.task = plan.cell_by_index(*first);
+  result.task = plan.cell_by_index(0);
   result.metrics = synthetic_runner().run_one(result.task);
-  queue.complete(result, "worker-a");
-  progress = queue.progress();
-  EXPECT_EQ(progress.active, 1u);
-  EXPECT_EQ(progress.done, 1u);
-  EXPECT_FALSE(queue.renew(*first, "worker-a"))
-      << "a completed cell has no lease left";
+  queue.publish(result, "worker-a");
+  queue.finish(*first);
+  counters = queue.counters();
+  EXPECT_EQ(counters.active, 1u);
+  EXPECT_EQ(counters.done, 1u);
+  EXPECT_EQ(queue.done_count(), 1u);
+  EXPECT_FALSE(queue.renew(*first)) << "a finished cell has no lease left";
 
   const auto loaded = queue.load_result(result.task);
   ASSERT_TRUE(loaded.has_value());
@@ -308,13 +340,13 @@ TEST(WorkQueue, SeedClaimCompleteLifecycle) {
 TEST(WorkQueue, EmptyQueueClaimsReturnNothing) {
   const auto plan = ExecutionPlan::dense(small_grid(), small_base(), 42);
   WorkQueue queue(scratch_dir("wq_empty"), 60.0);
-  EXPECT_FALSE(queue.try_claim("worker-a").has_value())
+  EXPECT_FALSE(queue.try_claim_segment("worker-a").has_value())
       << "an unseeded queue has nothing to claim";
   queue.seed(plan);
   std::size_t claimed = 0;
-  while (queue.try_claim("worker-a").has_value()) ++claimed;
+  while (queue.try_claim_segment("worker-a").has_value()) ++claimed;
   EXPECT_EQ(claimed, plan.size());
-  EXPECT_FALSE(queue.try_claim("worker-a").has_value());
+  EXPECT_FALSE(queue.try_claim_segment("worker-a").has_value());
   EXPECT_EQ(queue.recover_expired(), 0u)
       << "fresh leases must not be recovered";
 }
@@ -330,7 +362,7 @@ TEST(WorkQueue, FailedCellsRoundTripStatusAndError) {
   failed.error = "boom with detail";
   const double nan = std::numeric_limits<double>::quiet_NaN();
   failed.metrics.jain = failed.metrics.loss_pct = nan;
-  queue.complete(failed, "worker-a");
+  queue.publish(failed, "worker-a");
 
   const auto loaded = queue.load_result(plan.cell(0));
   ASSERT_TRUE(loaded.has_value());
@@ -346,20 +378,23 @@ TEST(WorkQueue, SeedIsIdempotentAndRejectsDifferentPlans) {
 
   // Claim one cell and finish another, then re-seed: neither may be
   // re-enqueued, the rest must stay pending exactly once.
-  const auto claimed = queue.try_claim("worker-a");
+  const auto claimed = queue.try_claim_segment("worker-a");
   ASSERT_TRUE(claimed.has_value());
-  const auto finished = queue.try_claim("worker-b");
+  const auto finished = queue.try_claim_segment("worker-b");
   ASSERT_TRUE(finished.has_value());
-  sweep::TaskResult done;
-  done.task = plan.cell_by_index(*finished);
-  done.metrics = synthetic_runner().run_one(done.task);
-  queue.complete(done, "worker-b");
+  publish_cell(queue, plan, finished->indices.front(), "worker-b");
+  queue.finish(*finished);
 
   queue.seed(plan);
-  const auto progress = queue.progress();
-  EXPECT_EQ(progress.pending, plan.size() - 2);
-  EXPECT_EQ(progress.active, 1u);
-  EXPECT_EQ(progress.done, 1u);
+  const auto counters = queue.counters();
+  EXPECT_EQ(counters.pending, plan.size() - 2);
+  EXPECT_EQ(counters.active, 1u);
+  EXPECT_EQ(counters.done, 1u);
+  const auto pending = pending_cells(queue);
+  EXPECT_EQ(pending.size(), plan.size() - 2);
+  EXPECT_EQ(std::adjacent_find(pending.begin(), pending.end()),
+            pending.end())
+      << "a re-seed must not enqueue any cell twice";
 
   const auto other = ExecutionPlan::dense(small_grid(), small_base(), 43);
   EXPECT_THROW(queue.seed(other), PreconditionError)
@@ -372,20 +407,20 @@ TEST(WorkQueue, ExpiredLeaseIsReEnqueuedAndFreshOnesAreNot) {
   queue.seed(plan);
 
   // Worker A claims a cell and dies silently (no heartbeat, no result).
-  const auto lost = queue.try_claim("worker-a");
+  const auto lost = queue.try_claim_segment("worker-a");
   ASSERT_TRUE(lost.has_value());
   EXPECT_EQ(queue.recover_expired(), 0u) << "the lease is still fresh";
 
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   EXPECT_EQ(queue.recover_expired(), 1u);
-  EXPECT_EQ(queue.progress().active, 0u);
-  EXPECT_EQ(queue.progress().pending, plan.size());
+  EXPECT_EQ(queue.counters().active, 0u);
+  EXPECT_EQ(pending_cells(queue).size(), plan.size());
 
   // The recovered cell is claimable again; worker A's late renewal fails.
-  const auto reclaimed = queue.try_claim("worker-b");
+  const auto reclaimed = queue.try_claim_segment("worker-b");
   ASSERT_TRUE(reclaimed.has_value());
-  EXPECT_EQ(*reclaimed, *lost);
-  EXPECT_FALSE(queue.renew(*lost, "worker-a"));
+  EXPECT_EQ(reclaimed->indices, lost->indices);
+  EXPECT_FALSE(queue.renew(*lost));
 }
 
 TEST(WorkQueue, CrashAfterPublishDropsTheStaleClaimWithoutReEnqueue) {
@@ -393,25 +428,23 @@ TEST(WorkQueue, CrashAfterPublishDropsTheStaleClaimWithoutReEnqueue) {
   WorkQueue queue(scratch_dir("wq_after_publish"), 0.05);
   queue.seed(plan);
 
-  const auto index = queue.try_claim("worker-a");
-  ASSERT_TRUE(index.has_value());
-  // Publish under a different id: worker-a's claim file survives, exactly
-  // as if it crashed between publishing and releasing.
-  sweep::TaskResult result;
-  result.task = plan.cell_by_index(*index);
-  result.metrics = synthetic_runner().run_one(result.task);
-  queue.complete(result, "worker-b");
-  EXPECT_EQ(queue.progress().active, 1u);
+  const auto claim = queue.try_claim_segment("worker-a");
+  ASSERT_TRUE(claim.has_value());
+  // Publish without finishing: worker-a's claim file survives, exactly as
+  // if it crashed between publishing and releasing.
+  publish_cell(queue, plan, claim->indices.front(), "worker-b");
+  EXPECT_EQ(queue.counters().active, 1u);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   EXPECT_EQ(queue.recover_expired(), 0u)
       << "a published cell must not go back to pending";
-  const auto progress = queue.progress();
-  EXPECT_EQ(progress.active, 0u) << "the stale claim is dropped";
-  EXPECT_EQ(progress.done, 1u);
+  const auto counters = queue.counters();
+  EXPECT_EQ(counters.active, 0u) << "the stale claim is dropped";
+  EXPECT_EQ(counters.done, 1u);
+  EXPECT_EQ(pending_cells(queue).size(), plan.size() - 1);
 }
 
-// ---- batched claims + lease robustness ------------------------------------
+// ---- multi-cell segments + lease robustness -------------------------------
 
 TEST(WorkQueueBatch, BatchedSeedClaimsWholeChunksAsOneUnit) {
   const auto plan = ExecutionPlan::dense(small_grid(), small_base(), 42,
@@ -419,8 +452,10 @@ TEST(WorkQueueBatch, BatchedSeedClaimsWholeChunksAsOneUnit) {
   WorkQueue queue(scratch_dir("wq_batch_seed"), 60.0);
   queue.seed(plan, /*batch=*/4);
 
-  // 12 cells chunk into 3 pending batch files, but progress counts cells.
-  EXPECT_EQ(queue.progress().pending, plan.size());
+  // 12 cells chunk into 3 pending segment files, but the counts are cells.
+  EXPECT_EQ(queue.counters().pending, plan.size());
+  EXPECT_EQ(queue.counters().segment_cells, 4u);
+  EXPECT_EQ(pending_cells(queue).size(), plan.size());
   std::size_t entries = 0;
   for (const auto& entry :
        fs::directory_iterator(fs::path(queue.dir()) / "pending")) {
@@ -429,13 +464,11 @@ TEST(WorkQueueBatch, BatchedSeedClaimsWholeChunksAsOneUnit) {
   }
   EXPECT_EQ(entries, 3u);
 
-  // One claim takes the whole lowest chunk; the single-cell API refuses
-  // (and releases) rather than silently stranding members.
-  const auto claim = queue.try_claim_batch("worker-a", 4);
+  // One claim takes the whole lowest segment as one leased unit.
+  const auto claim = queue.try_claim_segment("worker-a");
   ASSERT_TRUE(claim.has_value());
-  EXPECT_TRUE(claim->batch);
   EXPECT_EQ(claim->indices, (std::vector<std::size_t>{0, 1, 2, 3}));
-  EXPECT_EQ(queue.progress().active, 4u);
+  EXPECT_EQ(queue.counters().active, 4u);
   EXPECT_TRUE(queue.renew(*claim));
 
   for (const std::size_t index : claim->indices) {
@@ -445,26 +478,21 @@ TEST(WorkQueueBatch, BatchedSeedClaimsWholeChunksAsOneUnit) {
     queue.publish(result);
   }
   queue.finish(*claim);
-  auto progress = queue.progress();
-  EXPECT_EQ(progress.done, 4u);
-  EXPECT_EQ(progress.active, 0u);
-  EXPECT_FALSE(queue.renew(*claim)) << "a finished batch has no lease";
-
-  EXPECT_THROW(queue.try_claim("worker-a"), PreconditionError);
-  EXPECT_EQ(queue.progress().active, 0u)
-      << "the refused batch claim must be released, not stranded";
+  const auto counters = queue.counters();
+  EXPECT_EQ(counters.done, 4u);
+  EXPECT_EQ(counters.active, 0u);
+  EXPECT_FALSE(queue.renew(*claim)) << "a finished segment has no lease";
 }
 
-TEST(WorkQueueBatch, CoalescedSinglesClaimAsOneUnitAndTrimReturnsTheTail) {
+TEST(WorkQueueBatch, TrimAndReleaseReturnOnlyTheUnpublishedTail) {
   const auto plan = ExecutionPlan::dense(small_grid(), small_base(), 42);
-  WorkQueue queue(scratch_dir("wq_batch_coalesce"), 60.0);
-  queue.seed(plan);  // singles
+  WorkQueue queue(scratch_dir("wq_batch_trim"), 60.0);
+  queue.seed(plan, /*batch=*/3);
 
-  auto claim = queue.try_claim_batch("worker-a", 3);
+  auto claim = queue.try_claim_segment("worker-a");
   ASSERT_TRUE(claim.has_value());
-  EXPECT_TRUE(claim->batch);
   EXPECT_EQ(claim->indices, (std::vector<std::size_t>{0, 1, 2}));
-  // The three cells fold into exactly one leased claim file.
+  // The three cells sit under exactly one leased claim file.
   std::size_t active_entries = 0;
   for (const auto& entry :
        fs::directory_iterator(fs::path(queue.dir()) / "active")) {
@@ -472,49 +500,48 @@ TEST(WorkQueueBatch, CoalescedSinglesClaimAsOneUnitAndTrimReturnsTheTail) {
     ++active_entries;
   }
   EXPECT_EQ(active_entries, 1u);
-  EXPECT_EQ(queue.progress().active, 3u);
+  EXPECT_EQ(queue.counters().active, 3u);
 
-  // Trimming hands the tail back as claimable singles.
+  // Trimming hands the tail back as claimable pending work.
   queue.trim(*claim, 2);
   EXPECT_EQ(claim->indices, (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(queue.progress().active, 2u);
-  EXPECT_EQ(queue.progress().pending, plan.size() - 2);
+  EXPECT_EQ(queue.counters().active, 2u);
+  EXPECT_EQ(queue.counters().pending, plan.size() - 2);
+  EXPECT_EQ(pending_cells(queue).size(), plan.size() - 2);
 
   // Releasing the claim re-enqueues only the unpublished member.
-  sweep::TaskResult result;
-  result.task = plan.cell_by_index(0);
-  result.metrics = synthetic_runner().run_one(result.task);
-  queue.publish(result);
+  publish_cell(queue, plan, 0, "worker-a");
   queue.release(*claim);
-  const auto progress = queue.progress();
-  EXPECT_EQ(progress.done, 1u);
-  EXPECT_EQ(progress.active, 0u);
-  EXPECT_EQ(progress.pending, plan.size() - 1);
+  const auto counters = queue.counters();
+  EXPECT_EQ(counters.done, 1u);
+  EXPECT_EQ(counters.active, 0u);
+  EXPECT_EQ(counters.pending, plan.size() - 1);
+  const auto pending = pending_cells(queue);
+  EXPECT_EQ(pending.size(), plan.size() - 1);
+  EXPECT_EQ(pending.front(), 1u);
 }
 
 TEST(WorkQueueBatch, ExpiredBatchReEnqueuesOnlyUnfinishedMembers) {
   const auto plan = ExecutionPlan::dense(small_grid(), small_base(), 42);
   WorkQueue queue(scratch_dir("wq_batch_expiry"), /*lease_s=*/0.05,
                   /*skew_margin_s=*/0.0);
-  queue.seed(plan);
+  queue.seed(plan, /*batch=*/4);
 
-  const auto claim = queue.try_claim_batch("worker-a", 4);
+  const auto claim = queue.try_claim_segment("worker-a");
   ASSERT_TRUE(claim.has_value());
   ASSERT_EQ(claim->indices.size(), 4u);
   for (const std::size_t index : {claim->indices[0], claim->indices[1]}) {
-    sweep::TaskResult result;
-    result.task = plan.cell_by_index(index);
-    result.metrics = synthetic_runner().run_one(result.task);
-    queue.publish(result);
+    publish_cell(queue, plan, index, "worker-a");
   }
 
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   EXPECT_EQ(queue.recover_expired(), 2u)
       << "published members stay done; only the unfinished re-enqueue";
-  const auto progress = queue.progress();
-  EXPECT_EQ(progress.done, 2u);
-  EXPECT_EQ(progress.active, 0u);
-  EXPECT_EQ(progress.pending, plan.size() - 2);
+  const auto counters = queue.counters();
+  EXPECT_EQ(counters.done, 2u);
+  EXPECT_EQ(counters.active, 0u);
+  EXPECT_EQ(counters.pending, plan.size() - 2);
+  EXPECT_EQ(pending_cells(queue).size(), plan.size() - 2);
   EXPECT_FALSE(queue.renew(*claim));
 }
 
@@ -530,7 +557,7 @@ TEST(WorkQueue, SkewMarginDelaysLeaseExpiry) {
   EXPECT_EQ(no_margin.skew_margin_s(), 0.0);
 
   with_margin.seed(plan);
-  ASSERT_TRUE(with_margin.try_claim("worker-a").has_value());
+  ASSERT_TRUE(with_margin.try_claim_segment("worker-a").has_value());
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   EXPECT_EQ(with_margin.recover_expired(), 0u)
       << "a lease inside the skew margin must not be stolen";
@@ -547,31 +574,34 @@ TEST(WorkQueue, FailedResultsAreReEnqueuedOnReseed) {
   queue.seed(plan);
 
   // Cell 0 fails (a timeout, say); cell 1 succeeds.
-  const auto failed_cell = queue.try_claim("worker-a");
-  ASSERT_TRUE(failed_cell.has_value());
+  const auto failed_claim = queue.try_claim_segment("worker-a");
+  ASSERT_TRUE(failed_claim.has_value());
+  const std::size_t failed_cell = failed_claim->indices.front();
   sweep::TaskResult failed;
-  failed.task = plan.cell_by_index(*failed_cell);
+  failed.task = plan.cell_by_index(failed_cell);
   failed.ok = false;
   failed.error = "timeout after 1 s";
-  queue.complete(failed, "worker-a");
-  const auto ok_cell = queue.try_claim("worker-a");
-  ASSERT_TRUE(ok_cell.has_value());
-  sweep::TaskResult ok;
-  ok.task = plan.cell_by_index(*ok_cell);
-  ok.metrics = synthetic_runner().run_one(ok.task);
-  queue.complete(ok, "worker-a");
-  EXPECT_EQ(queue.progress().done, 2u);
+  queue.publish(failed, "worker-a");
+  queue.finish(*failed_claim);
+  const auto ok_claim = queue.try_claim_segment("worker-a");
+  ASSERT_TRUE(ok_claim.has_value());
+  const std::size_t ok_cell = ok_claim->indices.front();
+  publish_cell(queue, plan, ok_cell, "worker-a");
+  queue.finish(*ok_claim);
+  EXPECT_EQ(queue.counters().done, 2u);
+  EXPECT_EQ(queue.done_count(), 2u);
 
   // Re-seeding (a coordinator restart) must re-attempt the transient
   // failure instead of serving the memoized NaN row forever — and must
   // not touch the finished cell.
   queue.seed(plan);
-  const auto progress = queue.progress();
-  EXPECT_EQ(progress.done, 1u);
-  EXPECT_EQ(progress.pending, plan.size() - 1);
-  EXPECT_FALSE(queue.result_ok(*failed_cell).has_value())
+  const auto counters = queue.counters();
+  EXPECT_EQ(counters.done, 1u);
+  EXPECT_EQ(counters.pending, plan.size() - 1);
+  EXPECT_EQ(pending_cells(queue).size(), plan.size() - 1);
+  EXPECT_FALSE(queue.result_ok(failed_cell).has_value())
       << "the failed result file must be dropped";
-  EXPECT_EQ(queue.result_ok(*ok_cell), std::optional<bool>(true));
+  EXPECT_EQ(queue.result_ok(ok_cell), std::optional<bool>(true));
 }
 
 TEST(WorkQueue, PeerClaimedBacklogEntriesAreSkippedIndividually) {
@@ -585,16 +615,25 @@ TEST(WorkQueue, PeerClaimedBacklogEntriesAreSkippedIndividually) {
   WorkQueue peer(dir, 60.0);
   ours.seed(plan);
 
-  EXPECT_EQ(ours.try_claim("worker-a"), std::optional<std::size_t>(0));
-  EXPECT_EQ(peer.try_claim("worker-b"), std::optional<std::size_t>(1));
+  const auto cell = [](const std::optional<Claim>& claim) {
+    return claim ? std::optional<std::size_t>(claim->indices.front())
+                 : std::nullopt;
+  };
+  EXPECT_EQ(cell(ours.try_claim_segment("worker-a")),
+            std::optional<std::size_t>(0));
+  const auto peer_claim = peer.try_claim_segment("worker-b");
+  EXPECT_EQ(cell(peer_claim), std::optional<std::size_t>(1));
   // Our backlog still lists cell 1; the stale entry is skipped and the
   // next-lowest cell claimed.
-  EXPECT_EQ(ours.try_claim("worker-a"), std::optional<std::size_t>(2));
+  EXPECT_EQ(cell(ours.try_claim_segment("worker-a")),
+            std::optional<std::size_t>(2));
 
   // The peer's release surfaces the cell to its own backlog in sorted
   // position: the very next claim takes it, lowest-index first.
-  peer.release(1, "worker-b");
-  EXPECT_EQ(peer.try_claim("worker-b"), std::optional<std::size_t>(1));
+  ASSERT_TRUE(peer_claim.has_value());
+  peer.release(*peer_claim);
+  EXPECT_EQ(cell(peer.try_claim_segment("worker-b")),
+            std::optional<std::size_t>(1));
 }
 
 TEST(WorkQueue, WorkerStatsRoundTripThroughTheQueueDir) {
@@ -642,7 +681,7 @@ Reference reference_bytes(const ExecutionPlan& plan,
   return {csv.str(), json.str()};
 }
 
-/// Single-cell worker shorthand: claim one cell at a time, fast polls.
+/// Worker shorthand: default claims (one whole segment), fast polls.
 WorkerConfig worker_config(const std::string& id, std::size_t max_cells = 0,
                            double poll_s = 0.01) {
   WorkerConfig config;
@@ -691,7 +730,7 @@ TEST(RunWorker, DeadWorkerMidCellIsRecoveredAndOutputStaysByteIdentical) {
   // the lease so recovery triggers on the next scan — a short lease plus
   // a real sleep here was flaky, because under load worker B's own
   // heartbeats could also fall behind a 50 ms lease.
-  const auto abandoned = queue.try_claim("worker-a");
+  const auto abandoned = queue.try_claim_segment("worker-a");
   ASSERT_TRUE(abandoned.has_value());
   std::size_t backdated = 0;
   for (const auto& entry : fs::directory_iterator(fs::path(queue.dir()) / "active")) {
@@ -764,7 +803,7 @@ TEST(RunWorker, MaxCellsStopsEarly) {
   const auto report =
       run_worker(queue, plan, options, worker_config("worker-a", /*max_cells=*/3));
   EXPECT_EQ(report.completed, 3u);
-  EXPECT_EQ(queue.progress().done, 3u);
+  EXPECT_EQ(queue.done_count(), 3u);
 }
 
 TEST(RunWorker, MaxCellsIsExactUnderConcurrentClaimLoops) {
@@ -778,7 +817,10 @@ TEST(RunWorker, MaxCellsIsExactUnderConcurrentClaimLoops) {
       run_worker(queue, plan, options, worker_config("worker-a", /*max_cells=*/3));
   EXPECT_EQ(report.completed, 3u)
       << "concurrent claim loops must not overshoot --max-cells";
-  EXPECT_EQ(queue.progress().done, 3u);
+  EXPECT_EQ(queue.done_count(), 3u);
+  EXPECT_EQ(queue.counters().active, 0u);
+  EXPECT_EQ(pending_cells(queue).size(), plan.size() - 3)
+      << "claims the budget could not cover go back to pending";
 }
 
 TEST(RunWorker, ClaimLoopErrorsSurfaceInsteadOfTerminating) {
@@ -789,8 +831,9 @@ TEST(RunWorker, ClaimLoopErrorsSurfaceInsteadOfTerminating) {
   WorkQueue queue(scratch_dir("wq_bad_cell"), 60.0);
   queue.seed(plan);
 
-  std::ofstream(fs::path(queue.dir()) / "pending" / "0000000999.cell")
-      << "queued\n";
+  std::ofstream(fs::path(queue.dir()) / "pending" /
+                "0000000999.1.0000000000000000.seg")
+      << "segment\n999\n";
 
   sweep::SweepOptions options;
   options.runner = synthetic_runner();
@@ -810,8 +853,8 @@ TEST(Collect, IncompleteQueueThrowsNamingTheMissingCell) {
 
 // ---- batched run_worker ----------------------------------------------------
 
-/// A 50-cell plan: enough cells that three --batch 4 workers interleave
-/// chunk claims, trims, and the final ragged chunk.
+/// A 50-cell plan: enough cells that three workers on 4-cell segments
+/// interleave claims and the final ragged segment.
 ExecutionPlan fifty_cell_plan() {
   sweep::ParameterGrid grid;
   grid.backends = {sweep::Backend::kFluid};
@@ -838,7 +881,7 @@ TEST(RunWorker, ThreeBatchedWorkersDrainFiftyCellsExactlyOnce) {
   calls.store(0);
 
   WorkQueue queue(scratch_dir("wq_batched_trio"), 60.0);
-  queue.seed(plan);
+  queue.seed(plan, /*batch=*/4);
   sweep::SweepOptions worker_options = options;
   worker_options.threads = 1;
   std::atomic<std::size_t> total{0};
@@ -847,7 +890,6 @@ TEST(RunWorker, ThreeBatchedWorkersDrainFiftyCellsExactlyOnce) {
     workers.emplace_back([&, id] {
       WorkerConfig config;
       config.worker_id = id;
-      config.batch = 4;
       config.poll_s = 0.01;
       config.stats = true;
       total.fetch_add(
@@ -858,12 +900,12 @@ TEST(RunWorker, ThreeBatchedWorkersDrainFiftyCellsExactlyOnce) {
 
   EXPECT_EQ(total.load(), plan.size());
   EXPECT_EQ(calls.load(), plan.size())
-      << "every cell simulates exactly once across the batched workers";
+      << "every cell simulates exactly once across the segment claims";
   std::ostringstream csv, json;
   collect_csv(queue, plan, csv);
   collect_json(queue, plan, json);
   EXPECT_EQ(csv.str(), reference.csv)
-      << "batched claims must not change a byte of the merged output";
+      << "segment claims must not change a byte of the merged output";
   EXPECT_EQ(json.str(), reference.json);
 
   // Every worker left a stats file the status view can aggregate.
@@ -877,20 +919,20 @@ TEST(RunWorker, ThreeBatchedWorkersDrainFiftyCellsExactlyOnce) {
 TEST(RunWorker, BatchedMaxCellsStaysExact) {
   const auto plan = fifty_cell_plan();
   WorkQueue queue(scratch_dir("wq_batched_budget"), 60.0);
-  queue.seed(plan, /*batch=*/8);  // pre-chunked coarser than the budget
+  queue.seed(plan, /*batch=*/8);  // segments coarser than the budget
   sweep::SweepOptions options;
   options.runner = synthetic_runner();
   options.threads = 4;
   WorkerConfig config;
   config.worker_id = "worker-a";
-  config.batch = 4;
-  config.max_cells = 6;  // not a multiple of either batch size
+  config.max_cells = 6;  // not a multiple of the segment size
   config.poll_s = 0.01;
   const auto report = run_worker(queue, plan, options, config);
   EXPECT_EQ(report.completed, 6u)
-      << "oversized batch claims must be trimmed back to the budget";
-  EXPECT_EQ(queue.progress().done, 6u);
-  EXPECT_EQ(queue.progress().active, 0u);
+      << "oversized segment claims must be trimmed back to the budget";
+  EXPECT_EQ(queue.done_count(), 6u);
+  EXPECT_EQ(queue.counters().active, 0u);
+  EXPECT_EQ(pending_cells(queue).size(), plan.size() - 6);
 }
 
 TEST(RunWorker, SigkilledWorkerMidBatchOnlyReEnqueuesUnfinishedCells) {
@@ -902,11 +944,11 @@ TEST(RunWorker, SigkilledWorkerMidBatchOnlyReEnqueuesUnfinishedCells) {
 
   const std::string dir = scratch_dir("wq_sigkill_batch");
   WorkQueue queue(dir, /*lease_s=*/0.1, /*skew_margin_s=*/0.05);
-  queue.seed(plan);
+  queue.seed(plan, /*batch=*/4);
 
-  // A real SIGKILL mid-batch: the child drains slowly with --batch-style
-  // claims and is killed after publishing at least one cell, so its batch
-  // is part published, part abandoned.
+  // A real SIGKILL mid-segment: the child drains slowly with 4-cell
+  // claims and is killed after publishing at least one cell, so its
+  // segment is part published, part abandoned.
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
@@ -920,7 +962,6 @@ TEST(RunWorker, SigkilledWorkerMidBatchOnlyReEnqueuesUnfinishedCells) {
           });
       WorkerConfig config;
       config.worker_id = "victim";
-      config.batch = 4;
       config.poll_s = 0.01;
       run_worker(queue, plan, slow, config);
     } catch (...) {
@@ -942,17 +983,15 @@ TEST(RunWorker, SigkilledWorkerMidBatchOnlyReEnqueuesUnfinishedCells) {
   // unpublished cells — the published ones stay done.
   std::this_thread::sleep_for(std::chrono::milliseconds(250));
   queue.recover_expired();
-  auto progress = queue.progress();
-  EXPECT_EQ(progress.done, done_at_kill)
+  EXPECT_EQ(queue.done_count(), done_at_kill)
       << "published cells must never be re-enqueued";
-  EXPECT_EQ(progress.active, 0u);
-  EXPECT_EQ(progress.pending, plan.size() - done_at_kill);
+  EXPECT_EQ(queue.counters().active, 0u);
+  EXPECT_EQ(pending_cells(queue).size(), plan.size() - done_at_kill);
 
-  // A surviving batched worker finishes the plan; the merged output is
+  // A surviving worker finishes the plan; the merged output is
   // byte-identical to the single-process run.
   WorkerConfig survivor;
   survivor.worker_id = "survivor";
-  survivor.batch = 4;
   survivor.poll_s = 0.01;
   sweep::SweepOptions worker_options = options;
   worker_options.threads = 2;
@@ -961,7 +1000,7 @@ TEST(RunWorker, SigkilledWorkerMidBatchOnlyReEnqueuesUnfinishedCells) {
   collect_csv(queue, plan, csv);
   collect_json(queue, plan, json);
   EXPECT_EQ(csv.str(), reference.csv)
-      << "a SIGKILL mid-batch must not change a byte";
+      << "a SIGKILL mid-segment must not change a byte";
   EXPECT_EQ(json.str(), reference.json);
 }
 

@@ -1,10 +1,11 @@
-// Tests of the segment queue layout (bbrm-queue-layout=2) and the
-// backlog-driven fleet autoscaler: packed pending segments claimed by one
-// rename, per-worker append-only result logs with hash-sealed records,
-// the O(1) counters view cross-checked against the exact store census,
-// crash recovery mid-segment, torn-tail truncation, byte-identity of the
-// streaming collectors with the single-process run and with the legacy
-// per-cell layout, and the pure scale-up/scale-down decision function.
+// Tests of the segment queue (bbrm-queue-layout=3) and the fleet: packed
+// pending segments claimed by one rename, per-worker append-only result
+// logs with hash-sealed records, the O(1) counters view cross-checked
+// against the exact store census, crash recovery mid-segment, re-enqueues
+// as one segment, torn-tail truncation, byte-identity of the streaming
+// collectors with the single-process run, the refusal of directories
+// seeded under an older layout, the pure scale-up/scale-down decision
+// function, and the fleet's completion check.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -12,6 +13,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -24,6 +26,7 @@
 
 #include "common/require.h"
 #include "common/units.h"
+#include "obs/metrics.h"
 #include "orchestrator/execution_plan.h"
 #include "orchestrator/fleet.h"
 #include "orchestrator/work_queue.h"
@@ -96,11 +99,9 @@ Reference reference_bytes(const ExecutionPlan& plan,
   return {csv.str(), json.str()};
 }
 
-WorkerConfig segment_worker(const std::string& id, std::size_t batch = 4,
-                            double poll_s = 0.01) {
+WorkerConfig segment_worker(const std::string& id, double poll_s = 0.01) {
   WorkerConfig config;
   config.worker_id = id;
-  config.batch = batch;
   config.poll_s = poll_s;
   return config;
 }
@@ -113,16 +114,62 @@ std::size_t count_files(const std::string& dir) {
   return n;
 }
 
+/// The member lists of the pending segments, sorted.
+std::vector<std::vector<std::size_t>> pending_segments(
+    const WorkQueue& queue) {
+  std::vector<std::vector<std::size_t>> segments;
+  for (const auto& entry :
+       fs::directory_iterator(fs::path(queue.dir()) / "pending")) {
+    std::ifstream in(entry.path());
+    std::string line;
+    std::getline(in, line);  // the "segment" header
+    std::vector<std::size_t> members;
+    while (std::getline(in, line)) members.push_back(std::stoul(line));
+    segments.push_back(std::move(members));
+  }
+  std::sort(segments.begin(), segments.end());
+  return segments;
+}
+
+/// Every pending member, sorted with duplicates kept.
+std::vector<std::size_t> pending_cells(const WorkQueue& queue) {
+  std::vector<std::size_t> cells;
+  for (const auto& members : pending_segments(queue)) {
+    cells.insert(cells.end(), members.begin(), members.end());
+  }
+  std::sort(cells.begin(), cells.end());
+  return cells;
+}
+
+void publish_cell(const WorkQueue& queue, const ExecutionPlan& plan,
+                  std::size_t index, const std::string& worker_id) {
+  sweep::TaskResult result;
+  result.task = plan.cell(index);
+  result.metrics = synthetic_runner().run_one(result.task);
+  queue.publish(result, worker_id);
+}
+
+std::string read_all(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+void write_all(const fs::path& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
 // ---- segment store lifecycle ----------------------------------------------
 
 TEST(SegmentQueue, SeedPacksSegmentsAndWritesCounters) {
   const auto plan = plan_of(6);  // 12 cells
   WorkQueue queue(scratch_dir("sq_seed"), 60.0);
   queue.seed(plan, /*batch=*/1, /*segment_cells=*/4);
-
-  EXPECT_EQ(queue.layout(), QueueLayout::kSegment);
-  ASSERT_TRUE(queue.plan_size_hint().has_value());
-  EXPECT_EQ(*queue.plan_size_hint(), plan.size());
+  EXPECT_EQ(read_all(fs::path(queue.dir()) / "plan.bbrplan")
+                .rfind("bbrm-queue-layout=3\n", 0),
+            0u)
+      << "the plan file carries the current layout stamp";
 
   // 12 cells in 4-cell segments: three pending entries, not twelve.
   std::size_t pending_entries = 0;
@@ -135,7 +182,6 @@ TEST(SegmentQueue, SeedPacksSegmentsAndWritesCounters) {
   EXPECT_TRUE(fs::exists(fs::path(queue.dir()) / "counters"));
 
   const auto counters = queue.counters();
-  EXPECT_EQ(counters.layout, QueueLayout::kSegment);
   EXPECT_EQ(counters.total, plan.size());
   EXPECT_EQ(counters.segment_cells, 4u);
   EXPECT_EQ(counters.pending, plan.size());
@@ -251,11 +297,10 @@ TEST(SegmentQueue, SigkilledWorkerMidSegmentOnlyReEnqueuesUnpublished) {
 
   std::this_thread::sleep_for(std::chrono::milliseconds(250));
   queue.recover_expired();
-  const auto progress = queue.progress();
-  EXPECT_EQ(progress.done, done_at_kill)
+  EXPECT_EQ(queue.done_count(), done_at_kill)
       << "published log records must never be re-enqueued";
-  EXPECT_EQ(progress.active, 0u);
-  EXPECT_EQ(progress.pending, plan.size() - done_at_kill);
+  EXPECT_EQ(queue.counters().active, 0u);
+  EXPECT_EQ(pending_cells(queue).size(), plan.size() - done_at_kill);
 
   sweep::SweepOptions worker_options = options;
   worker_options.threads = 2;
@@ -268,53 +313,203 @@ TEST(SegmentQueue, SigkilledWorkerMidSegmentOnlyReEnqueuesUnpublished) {
   EXPECT_EQ(json.str(), reference.json);
 }
 
-// ---- layout stamp + legacy compatibility ----------------------------------
+// ---- layout stamp ---------------------------------------------------------
 
-TEST(SegmentQueue, MixedLayoutReseedIsRejectedBothWays) {
-  const auto plan = plan_of(6);
-  {
-    WorkQueue queue(scratch_dir("sq_mix_a"), 60.0);
-    queue.seed(plan);  // per-cell
-    EXPECT_THROW(queue.seed(plan, 1, /*segment_cells=*/4),
-                 PreconditionError)
-        << "a per-cell queue must reject a segment re-seed";
-  }
-  {
-    WorkQueue queue(scratch_dir("sq_mix_b"), 60.0);
-    queue.seed(plan, 1, /*segment_cells=*/4);
-    EXPECT_THROW(queue.seed(plan), PreconditionError)
-        << "a segment queue must reject a per-cell re-seed";
-    queue.seed(plan, 1, /*segment_cells=*/4);  // same layout re-seeds fine
+/// Expects `call` to refuse the older queue directory `dir` with the one
+/// error that names it and asks for a re-seed.
+template <typename Call>
+void expect_reseed_error(const std::string& dir, const Call& call,
+                         const char* what) {
+  try {
+    call();
+    ADD_FAILURE() << what << " accepted an older queue directory";
+  } catch (const PreconditionError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find(dir), std::string::npos) << what << ": "
+                                                    << message;
+    EXPECT_NE(message.find("re-seed into a fresh directory"),
+              std::string::npos)
+        << what << ": " << message;
   }
 }
 
-TEST(SegmentQueue, LegacyPerCellQueueStillDrainsAndMatches) {
+TEST(SegmentQueue, OlderLayoutDirectoriesAreRefusedWithAReseedError) {
+  // A directory seeded by an older bbrsweep may hold per-cell or batch
+  // entries this queue would strand, so seeding, loading the plan and the
+  // counters view all refuse it with one error that names the directory
+  // and asks for a re-seed. Its plan file stays readable.
   const auto plan = plan_of(6);
+  const std::string text = plan.serialize();
+  for (const std::string stamp : {"", "bbrm-queue-layout=2\n"}) {
+    const std::string dir =
+        scratch_dir(stamp.empty() ? "sq_old_unstamped" : "sq_old_v2");
+    WorkQueue queue(dir, 60.0);
+    write_all(fs::path(dir) / "plan.bbrplan", stamp + text);
+    expect_reseed_error(dir, [&] { queue.seed(plan); }, "seed");
+    expect_reseed_error(dir, [&] { queue.load_plan(); }, "load_plan");
+    expect_reseed_error(dir, [&] { queue.counters(); }, "counters");
+    EXPECT_FALSE(fs::exists(fs::path(dir) / "counters"))
+        << "a refused seed must leave the directory untouched";
+    EXPECT_TRUE(pending_segments(queue).empty());
+    EXPECT_EQ(ExecutionPlan::parse(strip_layout_stamp(
+                                       read_all(fs::path(dir) /
+                                                "plan.bbrplan")))
+                  .serialize(),
+              text)
+        << "the plan itself stays reusable (merge --plan)";
+  }
+}
+
+TEST(SegmentQueue, MixedLayoutReseedIsRejectedBothWays) {
+  // A segment re-seed over either older layout (unstamped per-cell, =2
+  // batch) is refused before it writes, so every entry the older bbrsweep
+  // left stays as it was; over a segment directory it re-seeds fine.
+  const auto plan = plan_of(6);
+  const std::string text = plan.serialize();
+  for (const std::string stamp : {"", "bbrm-queue-layout=2\n"}) {
+    const std::string dir =
+        scratch_dir(stamp.empty() ? "sq_mix_a" : "sq_mix_b");
+    WorkQueue queue(dir, 60.0);
+    write_all(fs::path(dir) / "plan.bbrplan", stamp + text);
+    const auto legacy_pending = fs::path(dir) / "pending" / "0000000000.cell";
+    const auto legacy_result = fs::path(dir) / "results" / "0000000001.cell";
+    write_all(legacy_pending, "");
+    write_all(legacy_result, "legacy result\n");
+    expect_reseed_error(dir, [&] { queue.seed(plan); }, "default re-seed");
+    expect_reseed_error(dir, [&] { queue.seed(plan, 1, /*segment_cells=*/4); },
+                        "4-cell segment re-seed");
+    EXPECT_EQ(read_all(fs::path(dir) / "plan.bbrplan"), stamp + text);
+    EXPECT_EQ(read_all(legacy_pending), "");
+    EXPECT_EQ(read_all(legacy_result), "legacy result\n");
+    EXPECT_FALSE(fs::exists(fs::path(dir) / "counters"));
+  }
+  WorkQueue queue(scratch_dir("sq_mix_c"), 60.0);
+  queue.seed(plan, 1, /*segment_cells=*/4);
+  queue.seed(plan, 1, /*segment_cells=*/4);  // same layout re-seeds fine
+  std::vector<std::size_t> all(plan.size());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  EXPECT_EQ(pending_cells(queue), all)
+      << "a same-layout re-seed leaves one pending copy of each member";
+}
+
+TEST(SegmentQueue, StripLayoutStampReadsPlanFilesOfEveryLayout) {
+  const auto plan = plan_of(3);
+  const std::string text = plan.serialize();
+  WorkQueue queue(scratch_dir("sq_stamp"), 60.0);
+  queue.seed(plan);
+  const auto current = fs::path(queue.dir()) / "plan.bbrplan";
+  const auto older = fs::path(queue.dir()) / "older.bbrplan";
+  const auto unstamped = fs::path(queue.dir()) / "unstamped.bbrplan";
+  write_all(older, "bbrm-queue-layout=2\n" + text);
+  write_all(unstamped, text);
+  ASSERT_EQ(read_all(current).rfind("bbrm-queue-layout=3\n", 0), 0u);
+  for (const auto& path : {current, older, unstamped}) {
+    EXPECT_EQ(strip_layout_stamp(read_all(path)), text) << path;
+  }
+}
+
+// ---- re-enqueues ----------------------------------------------------------
+
+TEST(SegmentQueue, TrimReleaseAndRecoveryEachRequeueOneSegment) {
+  using Segments = std::vector<std::vector<std::size_t>>;
+  const auto plan = plan_of(8);  // 16 cells in two 8-cell segments
   sweep::SweepOptions options;
   options.runner = synthetic_runner();
   const auto reference = reference_bytes(plan, options);
+  const std::vector<std::size_t> tail = {8, 9, 10, 11, 12, 13, 14, 15};
+  const auto expire = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  };
+  const auto drain_matches_reference = [&](const WorkQueue& queue) {
+    sweep::SweepOptions worker_options = options;
+    worker_options.threads = 2;
+    run_worker(queue, plan, worker_options, segment_worker("drainer"));
+    std::ostringstream csv;
+    collect_csv(queue, plan, csv);
+    EXPECT_EQ(csv.str(), reference.csv);
+  };
 
-  WorkQueue queue(scratch_dir("sq_legacy"), 60.0);
-  queue.seed(plan);  // no stamp: the pre-segment layout
-  EXPECT_EQ(queue.layout(), QueueLayout::kPerCell);
+  {
+    WorkQueue queue(scratch_dir("sq_requeue"), /*lease_s=*/0.05,
+                    /*skew_margin_s=*/0.0);
+    queue.seed(plan, 1, /*segment_cells=*/8);
+    // Trim: the members past `keep` go back as one segment.
+    auto claim = queue.try_claim_segment("w-a");
+    ASSERT_TRUE(claim.has_value());
+    queue.trim(*claim, 3);
+    EXPECT_EQ(pending_segments(queue), (Segments{{3, 4, 5, 6, 7}, tail}));
+    // Release: the unpublished members go back as one segment.
+    publish_cell(queue, plan, 1, "w-a");
+    queue.release(*claim);
+    EXPECT_EQ(pending_segments(queue),
+              (Segments{{0, 2}, {3, 4, 5, 6, 7}, tail}));
+    // Recovery: each expired claim's unpublished members go back as one
+    // segment.
+    ASSERT_TRUE(queue.try_claim_segment("w-b").has_value());  // {0, 2}
+    ASSERT_TRUE(queue.try_claim_segment("w-b").has_value());  // {3..7}
+    publish_cell(queue, plan, 2, "w-b");
+    publish_cell(queue, plan, 4, "w-b");
+    expire();
+    EXPECT_EQ(queue.recover_expired(), 5u);
+    EXPECT_EQ(pending_segments(queue), (Segments{{0}, {3, 5, 6, 7}, tail}));
+    drain_matches_reference(queue);
+  }
 
+  {
+    // A stale claimant's re-enqueue meets a pending segment with the same
+    // first cell and as many members: both must survive whole.
+    WorkQueue queue(scratch_dir("sq_requeue_meet"), /*lease_s=*/0.05,
+                    /*skew_margin_s=*/0.0);
+    queue.seed(plan, 1, /*segment_cells=*/8);
+    const auto stale = queue.try_claim_segment("w-a");  // {0..7}
+    ASSERT_TRUE(stale.has_value());
+    expire();
+    EXPECT_EQ(queue.recover_expired(), 8u);
+    EXPECT_EQ(pending_segments(queue),
+              (Segments{{0, 1, 2, 3, 4, 5, 6, 7}, tail}))
+        << "an untouched claim returns whole, under its old name";
+    auto live = queue.try_claim_segment("w-b");  // {0..7} again
+    ASSERT_TRUE(live.has_value());
+    queue.trim(*live, 5);
+    queue.release(*live);
+    EXPECT_EQ(pending_segments(queue),
+              (Segments{{0, 1, 2, 3, 4}, {5, 6, 7}, tail}));
+    for (const std::size_t index : {1, 6, 7}) {
+      publish_cell(queue, plan, index, "w-c");
+    }
+    queue.release(*stale);  // its unpublished members: {0, 2, 3, 4, 5}
+    EXPECT_EQ(pending_segments(queue),
+              (Segments{{0, 1, 2, 3, 4}, {0, 2, 3, 4, 5}, {5, 6, 7}, tail}));
+    drain_matches_reference(queue);
+  }
+}
+
+TEST(SegmentQueue, DefaultWorkerClaimsWhole512CellSegmentsWithoutTrimming) {
+  const auto plan = plan_of(768);  // 1536 cells: three 512-cell segments
+  sweep::SweepOptions options;
+  options.runner = synthetic_runner();
+  const auto reference = reference_bytes(plan, options);
+  WorkQueue queue(scratch_dir("sq_default_claims"), 60.0);
+  queue.seed(plan, 1, /*segment_cells=*/512);
+
+  obs::Counter& claims = obs::Registry::global().counter("queue.claims");
+  obs::Counter& cells_claimed =
+      obs::Registry::global().counter("queue.cells_claimed");
+  const std::uint64_t claims_before = claims.value();
+  const std::uint64_t cells_before = cells_claimed.value();
+  WorkerConfig config;  // every field but the id at its default
+  config.worker_id = "default-w";
   sweep::SweepOptions worker_options = options;
   worker_options.threads = 2;
-  run_worker(queue, plan, worker_options, segment_worker("worker-a", 1));
-
-  // The census-backed counters fallback agrees with progress(), so status
-  // callers need not branch on the layout.
-  const auto counters = queue.counters();
-  const auto progress = queue.progress();
-  EXPECT_EQ(counters.layout, QueueLayout::kPerCell);
-  EXPECT_EQ(counters.done, progress.done);
-  EXPECT_EQ(counters.pending, progress.pending);
-  EXPECT_EQ(counters.total, plan.size());
-
+  const auto report = run_worker(queue, plan, worker_options, config);
+  EXPECT_EQ(report.completed, plan.size());
+  EXPECT_EQ(claims.value() - claims_before, 3u)
+      << "a default worker claims whole segments";
+  EXPECT_EQ(cells_claimed.value() - cells_before, plan.size())
+      << "no member was trimmed, re-enqueued and claimed again";
   std::ostringstream csv;
   collect_csv(queue, plan, csv);
-  EXPECT_EQ(csv.str(), reference.csv)
-      << "the legacy layout must keep collecting byte-identically";
+  EXPECT_EQ(csv.str(), reference.csv);
 }
 
 TEST(SegmentQueue, FailedCellsLandPerCellAndReseedRetriesThem) {
@@ -324,7 +519,7 @@ TEST(SegmentQueue, FailedCellsLandPerCellAndReseedRetriesThem) {
 
   // Drain one segment with its first cell failing, the way a worker
   // would: claim, publish per cell, finish.
-  auto claim = queue.try_claim_batch("worker-a", 4);
+  auto claim = queue.try_claim_segment("worker-a");
   ASSERT_TRUE(claim.has_value());
   ASSERT_EQ(claim->indices.size(), 4u);
   sweep::TaskResult failed;
@@ -352,12 +547,14 @@ TEST(SegmentQueue, FailedCellsLandPerCellAndReseedRetriesThem) {
   EXPECT_EQ(queue.done_count(), 4u);
 
   // Re-seeding drops the failure and re-enqueues only that cell for
-  // another attempt — same contract as the per-cell layout.
+  // another attempt.
   queue.seed(plan, 1, /*segment_cells=*/4);
   EXPECT_FALSE(queue.result_ok(0).has_value());
-  const auto progress = queue.progress();
-  EXPECT_EQ(progress.done, 3u);
-  EXPECT_EQ(progress.pending, plan.size() - 3);
+  EXPECT_EQ(queue.done_count(), 3u);
+  EXPECT_EQ(queue.counters().pending, plan.size() - 3);
+  const auto pending = pending_cells(queue);
+  EXPECT_EQ(pending.size(), plan.size() - 3);
+  EXPECT_EQ(pending.front(), 0u);
 }
 
 // ---- result log robustness ------------------------------------------------
@@ -560,7 +757,7 @@ TEST(Autoscale, GatherInputsSumsLiveRatesAndIgnoresDeadWorkers) {
   queue.seed(plan, 1, /*segment_cells=*/4);
 
   // One claimed segment: 4 active cells, 8 pending.
-  const auto claim = queue.try_claim_batch("live-w", 4);
+  const auto claim = queue.try_claim_segment("live-w");
   ASSERT_TRUE(claim.has_value());
 
   WorkerStats live;
@@ -588,6 +785,39 @@ TEST(Autoscale, GatherInputsSumsLiveRatesAndIgnoresDeadWorkers) {
       << "the sliding-window rate (not the lifetime average) sizes the "
          "fleet, and a dead worker's stale rate must not suppress a "
          "scale-up";
+}
+
+// ---- fleet ------------------------------------------------------------------
+
+TEST(Fleet, CompleteQueueWithADamagedPlanBodyStillReportsCompletion) {
+  // The fleet sizes the plan from the counters file, never from the plan
+  // body: a finished queue whose plan.bbrplan is damaged past its header
+  // lines must still let it stand down.
+  const auto plan = plan_of(6);
+  const std::string dir = scratch_dir("sq_fleet_done");
+  {
+    WorkQueue queue(dir, 60.0);
+    queue.seed(plan, 1, /*segment_cells=*/4);
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      publish_cell(queue, plan, i, "w1");
+    }
+  }
+  // Keep the stamp and the three header lines; garble every cell after.
+  const auto plan_file = fs::path(dir) / "plan.bbrplan";
+  std::istringstream lines(read_all(plan_file));
+  std::string kept, line;
+  for (int k = 0; k < 4 && std::getline(lines, line); ++k) kept += line + "\n";
+  write_all(plan_file, kept + "cell=garbage\n");
+  EXPECT_ANY_THROW(WorkQueue(dir, 60.0).load_plan())
+      << "the plan body really is damaged";
+
+  FleetOptions options;
+  options.queue_dir = dir;
+  options.workers = 1;
+  options.self_path = "/bin/true";
+  options.poll_s = 0.01;
+  options.quiet = true;
+  EXPECT_TRUE(run_fleet(options).completed);
 }
 
 }  // namespace

@@ -39,7 +39,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -191,12 +190,12 @@ Distributed execution (one plan, any number of machines sharing DIR):
                       and a per-worker table (cells done, failures,
                       in-flight, cells/s over a sliding window, last
                       heartbeat) from the stats files workers refresh on
-                      every heartbeat tick.
-                      On a segment-layout queue the counts are O(1) —
+                      every heartbeat tick. The counts are O(1) —
                       counters file + publish checkpoints, no readdir of
-                      pending/ or results/. --deep adds the full
-                      directory census and exits 2 if the O(1) view
-                      undercounts it (a damaged queue). --json prints the
+                      pending/ or results/. --deep adds the exact
+                      distinct-result count from the result logs and
+                      exits 2 if the O(1) view undercounts it (a damaged
+                      queue). --json prints the
                       same snapshot as one machine-readable JSON object
                       (counters, workers, metrics); --metrics adds each
                       worker's telemetry counters/histograms from its
@@ -214,31 +213,28 @@ Distributed execution (one plan, any number of machines sharing DIR):
   --skew-margin S     extra slack before an expired lease is recovered,
                       absorbing cross-host mtime skew (default lease/4)
   --poll S            progress/claim poll interval (default 0.5)
-  --batch K           coordinator: seed K-cell batch files, each claimed
-                      by one rename; worker: claim and lease up to K
-                      cells as one unit (coalescing pending singles),
-                      publishing results per cell — a crash mid-batch
-                      only re-enqueues the unfinished members
-  --segment-cells K   coordinator only: seed the *segment* queue layout —
-                      pending work in K-cell segments (one rename claims
-                      a whole segment), finished cells appended to
-                      per-worker binary result logs, O(1) status from a
-                      counters file. The filesystem holds O(cells/K)
-                      entries however big the plan; collect output stays
-                      byte-identical to the per-cell layout and to the
-                      single-process run. Queues seeded without this flag
-                      keep the per-cell layout; layouts never mix in one
-                      directory
+  --segment-cells K   coordinator only, the one chunking knob: seed the
+                      pending work as K-cell segments (default 1). A
+                      worker claims a whole segment by one rename and
+                      leases it as one unit; finished cells append to
+                      per-worker binary result logs, so a crash
+                      mid-segment only re-enqueues the unpublished
+                      members. The filesystem holds O(cells/K) entries
+                      however big the plan, and collect output is
+                      byte-identical for every K and to the
+                      single-process run. Directories seeded by an older
+                      bbrsweep are refused: re-seed into a fresh one
+                      (their plan.bbrplan still works with merge --plan)
   worker only:
   --worker-id ID      claim-file name ([A-Za-z0-9_-]; default host-pid)
   --max-cells N       publish at most N cells, then exit (0 = no limit;
-                      exact even with --batch — oversized claims are
-                      trimmed back to pending)
+                      exact — a segment bigger than the remaining budget
+                      is trimmed back to pending)
   --plan-wait S       wait up to S seconds for the coordinator to seed
                       the plan (default 60)
   (--threads, --batch-cells, --cache-dir, --timeout, --retries apply per
    worker; --batch-cells, default 1 here, sets the work units a claimed
-   unit's cells run in — results stay byte-identical)
+   segment's cells run in — results stay byte-identical)
   fleet only:
   --workers N         worker slots to keep filled (default 1)
   --ssh HOST,...      run workers over ssh on these hosts (round-robin);
@@ -254,8 +250,8 @@ Distributed execution (one plan, any number of machines sharing DIR):
                       Scaled-down workers are SIGTERMed; lease recovery
                       re-enqueues anything they held, so results are
                       unchanged
-  (--batch, --batch-cells, --threads, --cache-dir, --timeout, --retries,
-   --lease, --skew-margin, --max-cells, --plan-wait, --trace, --log-level
+  (--batch-cells, --threads, --cache-dir, --timeout, --retries, --lease,
+   --skew-margin, --max-cells, --plan-wait, --trace, --log-level
    forward to every worker; each traced worker writes its own
    workers/<id>.trace shard for `bbrsweep trace` to merge)
 
@@ -497,17 +493,13 @@ struct Options {
   /// Negative = the queue's default (lease/4).
   double skew_margin_s = -1.0;
   double poll_s = 0.5;
-  /// Cells per pending batch entry the coordinator seeds (1 = singles).
-  std::size_t batch = 1;
-  /// > 0 selects the segment queue layout with this many cells per
-  /// segment (coordinator only).
-  std::size_t segment_cells = 0;
+  /// Cells per pending segment the coordinator seeds (coordinator only).
+  std::size_t segment_cells = 1;
   /// Fail-fast bookkeeping: queue-only flags given to a non-queue mode
   /// must error, not silently fall back.
   bool lease_given = false;
   bool poll_given = false;
   bool skew_given = false;
-  bool batch_given = false;
   bool segment_given = false;
 };
 
@@ -619,10 +611,6 @@ Options parse_args(int argc, char** argv, int first) {
     } else if (arg == "--skew-margin") {
       opt.skew_margin_s = parse_nonnegative_finite(next(i), "skew margin");
       opt.skew_given = true;
-    } else if (arg == "--batch") {
-      opt.batch = static_cast<std::size_t>(parse_count(next(i), "batch"));
-      if (opt.batch == 0) fail("batch must be at least 1");
-      opt.batch_given = true;
     } else if (arg == "--segment-cells") {
       opt.segment_cells =
           static_cast<std::size_t>(parse_count(next(i), "segment cells"));
@@ -710,16 +698,10 @@ int run_merge(int argc, char** argv) {
   sweep::MergeContext context;
   std::optional<orchestrator::ExecutionPlan> plan;
   if (plan_path) {
-    // A plan pulled out of a segment-layout queue carries the queue's
-    // layout stamp as its first line; the plan text proper follows it.
-    std::string plan_bytes = read_file_or_fail(*plan_path);
-    constexpr std::string_view kStampPrefix = "bbrm-queue-layout=";
-    if (plan_bytes.compare(0, kStampPrefix.size(), kStampPrefix) == 0) {
-      const auto eol = plan_bytes.find('\n');
-      plan_bytes.erase(0, eol == std::string::npos ? plan_bytes.size()
-                                                   : eol + 1);
-    }
-    plan = orchestrator::ExecutionPlan::parse(std::move(plan_bytes));
+    // A plan pulled out of a queue directory (of any layout) carries the
+    // queue's layout stamp as its first line; the plan text follows it.
+    plan = orchestrator::ExecutionPlan::parse(
+        orchestrator::strip_layout_stamp(read_file_or_fail(*plan_path)));
     context.expected_cells = plan->size();
     context.describe = [&plan](std::size_t index) {
       return plan->describe_cell(index);
@@ -891,22 +873,18 @@ int run_coordinator(int argc, char** argv) {
   const auto plan = build_plan(opt);
   orchestrator::WorkQueue queue(*opt.queue_dir, opt.lease_s,
                                 opt.skew_margin_s);
-  queue.seed(plan, opt.batch, opt.segment_cells);
+  queue.seed(plan, /*batch=*/1, opt.segment_cells);
   if (!opt.quiet) {
     obs::log(obs::LogLevel::kInfo,
              "seeded %zu cell(s) into %s (runner %s, lease %g s, skew "
-             "margin %g s%s)",
+             "margin %g s, %zu-cell segments)",
              plan.size(), queue.dir().c_str(), plan.runner_name().c_str(),
-             opt.lease_s, queue.skew_margin_s(),
-             opt.segment_cells > 0
-                 ? ", segment layout"
-                 : (opt.batch > 1 ? ", batched" : ""));
+             opt.lease_s, queue.skew_margin_s(), opt.segment_cells);
   }
 
   while (true) {
-    // The watch line reads the O(1) counters view (on the segment layout:
-    // counters file + publish checkpoints, no readdir of pending/ or
-    // results/; on the per-cell layout it falls back to the census).
+    // The watch line reads the O(1) counters view (counters file +
+    // publish checkpoints, no readdir of pending/ or results/).
     // The cheap done can overcount on benign double publishes, so
     // completion is confirmed against the exact distinct-cell count
     // before collecting — that cross-check is the coordinator's deep
@@ -968,7 +946,7 @@ int run_worker_cmd(int argc, char** argv) {
   double lease_s = 60.0, skew_margin_s = -1.0, poll_s = 0.5,
          plan_wait_s = 60.0;
   bool lease_given = false, skew_given = false;
-  std::size_t max_cells = 0, batch = 1, batch_cells = 1;
+  std::size_t max_cells = 0, batch_cells = 1;
   bool quiet = false;
   bool trace = obs::trace_env_on();
 
@@ -998,9 +976,6 @@ int run_worker_cmd(int argc, char** argv) {
     } else if (arg == "--skew-margin") {
       skew_margin_s = parse_nonnegative_finite(next(i), "skew margin");
       skew_given = true;
-    } else if (arg == "--batch") {
-      batch = static_cast<std::size_t>(parse_count(next(i), "batch"));
-      if (batch == 0) fail("batch must be at least 1");
     } else if (arg == "--batch-cells") {
       batch_cells =
           static_cast<std::size_t>(parse_count(next(i), "batch cells"));
@@ -1065,10 +1040,9 @@ int run_worker_cmd(int argc, char** argv) {
   obs::set_log_tag(id);
   if (!quiet) {
     obs::log(obs::LogLevel::kInfo,
-             "worker %s draining %zu-cell plan from %s (runner %s%s)",
+             "worker %s draining %zu-cell plan from %s (runner %s)",
              id.c_str(), plan.size(), queue.dir().c_str(),
-             plan.runner_name().c_str(),
-             batch > 1 ? ", batched claims" : "");
+             plan.runner_name().c_str());
   }
   if (trace) {
     // Each worker writes its own shard next to its stats file; `bbrsweep
@@ -1081,7 +1055,6 @@ int run_worker_cmd(int argc, char** argv) {
   config.worker_id = id;
   config.max_cells = max_cells;
   config.poll_s = poll_s;
-  config.batch = batch;
   config.batch_cells = batch_cells;
   config.stats = true;  // cheap, and `bbrsweep status` feeds on it
   config.metrics = true;  // snapshot the registry beside the stats file
@@ -1161,11 +1134,10 @@ int run_fleet_cmd(int argc, char** argv) {
       fleet.plan_wait_s = parse_nonnegative_finite(value, "plan wait");
       fleet.worker_args.push_back(arg);
       fleet.worker_args.push_back(value);
-    } else if (arg == "--batch" || arg == "--batch-cells" ||
-               arg == "--threads" || arg == "--cache-dir" ||
-               arg == "--timeout" || arg == "--retries" ||
-               arg == "--lease" || arg == "--skew-margin" ||
-               arg == "--max-cells") {
+    } else if (arg == "--batch-cells" || arg == "--threads" ||
+               arg == "--cache-dir" || arg == "--timeout" ||
+               arg == "--retries" || arg == "--lease" ||
+               arg == "--skew-margin" || arg == "--max-cells") {
       forward(arg, i);
     } else if (arg == "--trace") {
       fleet.worker_args.push_back(arg);
@@ -1207,11 +1179,11 @@ int run_fleet_cmd(int argc, char** argv) {
 
 /// `bbrsweep status --queue-dir DIR [--deep]`: one live snapshot of a
 /// queue — plan and cell counts plus the per-worker stats table. The
-/// default snapshot is O(1) on the segment layout: the plan header comes
-/// from a bounded prefix read and the counts from the counters file plus
-/// publish checkpoints — no readdir of pending/ or results/. `--deep`
-/// additionally walks the store and cross-checks the cheap counters
-/// against the exact census, exiting 2 when they disagree.
+/// default snapshot is O(1): the plan header comes from a bounded prefix
+/// read and the counts from the counters file plus publish checkpoints —
+/// no readdir of pending/ or results/. `--deep` additionally reads the
+/// result logs and cross-checks the cheap counters against the exact
+/// distinct-result count, exiting 2 when they disagree.
 int run_status(int argc, char** argv) {
   std::optional<std::string> queue_dir;
   bool deep = false, json = false, metrics = false;
@@ -1256,7 +1228,10 @@ int run_status(int argc, char** argv) {
     }
     return 0;
   }
-  // Plan header from the file's first few lines (past any layout stamp):
+  // counters() comes first: it refuses a directory seeded by an older
+  // bbrsweep before anything is printed.
+  const auto counters = queue.counters();
+  // Plan header from the file's first few lines (past the layout stamp):
   // status must not deserialize a million-cell plan just to print its
   // size and runner.
   std::size_t plan_cells = 0;
@@ -1266,13 +1241,9 @@ int run_status(int argc, char** argv) {
     std::string prefix(4096, '\0');
     in.read(prefix.data(), static_cast<std::streamsize>(prefix.size()));
     prefix.resize(static_cast<std::size_t>(in.gcount()));
-    constexpr std::string_view kStampPrefix = "bbrm-queue-layout=";
-    if (prefix.compare(0, kStampPrefix.size(), kStampPrefix) == 0) {
-      const auto eol = prefix.find('\n');
-      prefix.erase(0, eol == std::string::npos ? prefix.size() : eol + 1);
-    }
     try {
-      const auto header = orchestrator::ExecutionPlan::peek_header(prefix);
+      const auto header = orchestrator::ExecutionPlan::peek_header(
+          orchestrator::strip_layout_stamp(std::move(prefix)));
       plan_cells = header.cells;
       runner = header.runner;
     } catch (const std::exception&) {
@@ -1281,20 +1252,17 @@ int run_status(int argc, char** argv) {
       runner = plan.runner_name();
     }
   }
-  const auto counters = queue.counters();
   const auto workers = queue.read_worker_stats();
   // Deep cross-check first: both output formats report it, and its verdict
   // decides the exit code. The cheap view may overcount done on benign
   // duplicate publishes but must never lag the store: a cheap count under
-  // the exact distinct-cell census means lost checkpoints or a corrupt
+  // the exact distinct-cell count means lost checkpoints or a corrupt
   // counters file, and downstream completion gates would stall on it.
-  std::optional<orchestrator::QueueProgress> census;
-  std::size_t exact_done = 0;
+  std::optional<std::size_t> exact_done;
   bool deep_ok = true;
   if (deep) {
-    census = queue.progress();
     exact_done = queue.done_count();
-    deep_ok = counters.done >= exact_done;
+    deep_ok = counters.done >= *exact_done;
   }
   std::vector<std::pair<std::string, obs::MetricsSnapshot>> worker_metrics;
   if (metrics) {
@@ -1316,24 +1284,17 @@ int run_status(int argc, char** argv) {
     j.key("lease_s").value(queue.lease_s());
     j.key("skew_margin_s").value(queue.skew_margin_s());
     j.end_object();
-    j.key("layout").value(
-        counters.layout == orchestrator::QueueLayout::kSegment ? "segment"
-                                                               : "per-cell");
-    if (counters.layout == orchestrator::QueueLayout::kSegment) {
-      j.key("segment_cells")
-          .value(static_cast<std::uint64_t>(counters.segment_cells));
-    }
+    j.key("segment_cells")
+        .value(static_cast<std::uint64_t>(counters.segment_cells));
     j.key("cells").begin_object();
     j.key("done").value(static_cast<std::uint64_t>(counters.done));
     j.key("pending").value(static_cast<std::uint64_t>(counters.pending));
     j.key("active").value(static_cast<std::uint64_t>(counters.active));
     j.end_object();
-    if (census) {
+    if (exact_done) {
       j.key("deep").begin_object();
-      j.key("done").value(static_cast<std::uint64_t>(census->done));
-      j.key("pending").value(static_cast<std::uint64_t>(census->pending));
-      j.key("active").value(static_cast<std::uint64_t>(census->active));
-      j.key("distinct_results").value(static_cast<std::uint64_t>(exact_done));
+      j.key("distinct_results")
+          .value(static_cast<std::uint64_t>(*exact_done));
       j.key("consistent").value(deep_ok);
       j.end_object();
     }
@@ -1368,20 +1329,15 @@ int run_status(int argc, char** argv) {
               "margin)\n",
               plan_cells, runner.c_str(), queue.lease_s(),
               queue.skew_margin_s());
-  if (counters.layout == orchestrator::QueueLayout::kSegment) {
-    std::printf("layout: segment (%zu cells/segment)\n",
-                counters.segment_cells);
-  }
+  std::printf("segments: %zu cell(s) each\n", counters.segment_cells);
   std::printf("cells: %zu done, %zu pending, %zu active\n", counters.done,
               counters.pending, counters.active);
-  if (census) {
-    std::printf("deep: census %zu done, %zu pending, %zu active; "
-                "%zu distinct result(s)\n",
-                census->done, census->pending, census->active, exact_done);
+  if (exact_done) {
+    std::printf("deep: %zu distinct result(s)\n", *exact_done);
     if (!deep_ok) {
       std::printf("deep: FAIL — counters report %zu done, store holds "
                   "%zu\n",
-                  counters.done, exact_done);
+                  counters.done, *exact_done);
       return 2;
     }
     std::printf("deep: counters consistent with store\n");
@@ -1463,10 +1419,10 @@ int run_trace(int argc, char** argv) {
 int run_plan(int argc, char** argv) {
   Options opt = parse_args(argc, argv, /*first=*/2);
   if (opt.queue_dir || opt.lease_given || opt.poll_given || opt.skew_given ||
-      opt.batch_given || opt.segment_given) {
+      opt.segment_given) {
     fail("plan never touches a queue; drop "
-         "--queue-dir/--lease/--skew-margin/--batch/--segment-cells/--poll "
-         "or use `bbrsweep coordinator`");
+         "--queue-dir/--lease/--skew-margin/--segment-cells/--poll or use "
+         "`bbrsweep coordinator`");
   }
   if (opt.trace) {
     fail("plan runs no fine simulations; --trace applies to sweep, worker, "
@@ -1527,9 +1483,9 @@ int main(int argc, char** argv) try {
          "(and `bbrsweep worker`) instead");
   }
   if (opt.lease_given || opt.poll_given || opt.skew_given ||
-      opt.batch_given || opt.segment_given) {
-    fail("--lease/--skew-margin/--batch/--segment-cells/--poll only apply "
-         "to the coordinator, worker, and fleet subcommands");
+      opt.segment_given) {
+    fail("--lease/--skew-margin/--segment-cells/--poll only apply to the "
+         "coordinator, worker, and fleet subcommands");
   }
   if (opt.trace || obs::trace_env_on()) {
     // Timestamps live only in the side file: the CSV/JSON outputs stay
