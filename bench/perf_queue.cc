@@ -1,15 +1,16 @@
 // Work-queue micro-benchmark: 512-cell segments vs 1-cell segments (the
 // per-cell case) at 100k cells.
 //
-// Seeds, drains (claim → publish → finish), and collects the same plan
-// at both segment sizes with a synthetic (instant) runner, so every
-// second measured is queue overhead — the thing packing cells into
-// segments exists to remove. Prints a per-arm table and emits
-// BENCH_queue.json with regression gates: 512-cell seeding and draining
-// must stay well ahead of 1-cell seeding and draining, the 512-cell
-// queue must hold O(cells/segment) filesystem entries, and both arms'
-// collected CSVs must be byte-identical to the in-process run (a faster
-// queue that changes the answers would be worthless).
+// Seeds, drains (claim → publish → finish), and collects (CSV, then
+// JSON) the same plan at both segment sizes with a synthetic (instant)
+// runner, so every second measured is queue overhead — the thing packing
+// cells into segments exists to remove. Prints a per-arm table with
+// drain and collect rates side by side and emits BENCH_queue.json with
+// regression gates: 512-cell seeding and draining must stay well ahead
+// of 1-cell seeding and draining, the 512-cell queue must hold
+// O(cells/segment) filesystem entries, and both arms' collected CSV and
+// JSON must be byte-identical to the in-process run (a faster queue that
+// changes the answers would be worthless).
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -75,8 +76,12 @@ int main() {
 
   sweep::SweepOptions reference_options;
   reference_options.runner = runner;
-  std::ostringstream reference_csv;
-  execute(plan, reference_options).write_csv(reference_csv);
+  std::ostringstream reference_csv, reference_json;
+  {
+    const auto reference = execute(plan, reference_options);
+    reference.write_csv(reference_csv);
+    reference.write_json(reference_json);
+  }
 
   const auto wall_now = [] {
     return std::chrono::duration<double>(
@@ -96,10 +101,12 @@ int main() {
     double seed_s = 0.0;
     double drain_s = 0.0;
     double status_s = 0.0;   ///< one status snapshot mid-drain state
-    double collect_s = 0.0;
+    double collect_s = 0.0;       ///< collect_csv
+    double collect_json_s = 0.0;  ///< collect_json
     std::size_t files_seeded = 0;
     std::size_t files_drained = 0;
     std::string csv;
+    std::string json;
   };
 
   const auto run_arm = [&](const std::string& name,
@@ -144,6 +151,12 @@ int main() {
     collect_csv(queue, plan, csv);
     g.collect_s = wall_now() - t0;
     g.csv = csv.str();
+
+    std::ostringstream json;
+    t0 = wall_now();
+    collect_json(queue, plan, json);
+    g.collect_json_s = wall_now() - t0;
+    g.json = json.str();
     g.files_drained = count_files(dir);
     fs::remove_all(dir);
     return g;
@@ -155,13 +168,15 @@ int main() {
 
   const double n = static_cast<double>(plan.size());
   Table table({"segments", "seed[s]", "drain[s]", "drain cells/s",
-               "status[ms]", "collect[s]", "files@seed", "files@drained"});
+               "collect csv cells/s", "collect json cells/s", "status[ms]",
+               "files@seed", "files@drained"});
   for (const ArmGauge* g : {&segment, &single}) {
     table.add_row({g->name, format_double(g->seed_s, 3),
                    format_double(g->drain_s, 3),
                    format_double(n / g->drain_s, 0),
+                   format_double(n / g->collect_s, 0),
+                   format_double(n / g->collect_json_s, 0),
                    format_double(g->status_s * 1e3, 3),
-                   format_double(g->collect_s, 3),
                    std::to_string(g->files_seeded),
                    std::to_string(g->files_drained)});
   }
@@ -169,9 +184,11 @@ int main() {
 
   // ---- gates ---------------------------------------------------------------
   if (segment.csv != reference_csv.str() ||
-      single.csv != reference_csv.str()) {
+      single.csv != reference_csv.str() ||
+      segment.json != reference_json.str() ||
+      single.json != reference_json.str()) {
     obs::log(obs::LogLevel::kError,
-             "FAIL: a segment size's collected CSV drifted from the "
+             "FAIL: a segment size's collected CSV or JSON drifted from the "
              "in-process run");
     return 1;
   }
@@ -232,6 +249,9 @@ int main() {
     j.key("drain_cells_per_s").value(n / g->drain_s);
     j.key("status_s").value(g->status_s);
     j.key("collect_s").value(g->collect_s);
+    j.key("collect_cells_per_s").value(n / g->collect_s);
+    j.key("collect_json_s").value(g->collect_json_s);
+    j.key("collect_json_cells_per_s").value(n / g->collect_json_s);
     j.key("files_seeded").value(
         static_cast<std::uint64_t>(g->files_seeded));
     j.key("files_drained").value(

@@ -1,11 +1,12 @@
 #include "common/atomic_io.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <sstream>
 #include <thread>
 
 #include "common/hash.h"
@@ -42,11 +43,27 @@ void write_file_atomically(const std::string& path, const std::string& bytes,
 }
 
 std::optional<std::string> read_text_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  // One buffer sized from fstat and filled by one read: a plan file runs
+  // to a hundred MB, and a growing copy through a stream would hold it two
+  // or three times over at the peak.
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return std::nullopt;
+  std::string bytes;
+  struct stat st {};
+  if (::fstat(::fileno(file), &st) == 0 && st.st_size > 0) {
+    bytes.resize(static_cast<std::size_t>(st.st_size));
+  }
+  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), file));
+  // Whatever the file grew by since the fstat (all of it, when the size
+  // was unknown).
+  char more[4096];
+  for (std::size_t n; (n = std::fread(more, 1, sizeof more, file)) > 0;) {
+    bytes.append(more, n);
+  }
+  const bool ok = std::ferror(file) == 0;
+  std::fclose(file);
+  if (!ok) return std::nullopt;
+  return bytes;
 }
 
 }  // namespace bbrmodel

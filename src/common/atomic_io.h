@@ -23,8 +23,8 @@ void write_file_atomically(const std::string& path, const std::string& bytes,
                            const std::string& what);
 
 /// The matching read half: the file's whole contents, or nullopt when it
-/// cannot be opened. Callers decide whether absence is a miss (cache), a
-/// wait (queue), or an error (CLI).
+/// cannot be opened or read. Callers decide whether absence is a miss
+/// (cache), a wait (queue), or an error (CLI).
 std::optional<std::string> read_text_file(const std::string& path);
 
 }  // namespace bbrmodel

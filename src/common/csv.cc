@@ -32,11 +32,15 @@ void CsvWriter::write_row(const std::vector<double>& values) {
 
 void CsvWriter::write_row(const std::vector<std::string>& cells) {
   BBRM_REQUIRE(cells.size() == width_);
+  // Build the line, then one stream write: emitters write thousands of
+  // rows.
+  std::string line;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i != 0) out_ << ',';
-    out_ << csv_escape(cells[i]);
+    if (i != 0) line += ',';
+    line += csv_escape(cells[i]);
   }
-  out_ << '\n';
+  line += '\n';
+  out_ << line;
   ++rows_;
 }
 

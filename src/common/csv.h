@@ -33,10 +33,11 @@ class CsvWriter {
 /// Quote a CSV field if needed (commas, quotes, newlines).
 std::string csv_escape(const std::string& field);
 
-/// Deterministic, locale-independent numeric cell ("%.10g"; non-finite
-/// values become empty cells). Mixed string/number rows format their
-/// numbers through this so identical results serialize to identical bytes
-/// regardless of thread count or platform locale.
+/// Deterministic, locale-independent numeric cell: json_number's bytes
+/// (printf's "%.10g", produced by std::to_chars), with non-finite values
+/// as empty cells. Mixed string/number rows format their numbers through
+/// this so identical results serialize to identical bytes regardless of
+/// thread count or platform locale.
 std::string csv_number(double v);
 
 }  // namespace bbrmodel

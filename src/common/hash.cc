@@ -1,5 +1,6 @@
 #include "common/hash.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -28,14 +29,36 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
+void append_exact_number(std::string& out, double v) {
+  // 17 significant digits are the fewest that round-trip every finite
+  // double; non-finite values get stable spellings (to_chars would write
+  // "-nan" for a negative NaN).
+  if (std::isnan(v)) {
+    out += "nan";
+    return;
+  }
+  if (std::isinf(v)) {
+    out += v > 0 ? "inf" : "-inf";
+    return;
+  }
+  char buf[32];  // "-2.2250738585072014e-308" is the longest: 24 bytes
+  const auto result = std::to_chars(buf, buf + sizeof buf, v,
+                                    std::chars_format::general, 17);
+  out.append(buf, result.ptr);
+}
+
+void append_exact_numbers(std::string& out,
+                          const std::vector<double>& values) {
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i != 0) out += ' ';
+    append_exact_number(out, values[i]);
+  }
+}
+
 std::string exact_number(double v) {
-  // %.17g is the smallest fixed precision that round-trips every finite
-  // double through strtod; non-finite values get stable spellings.
-  if (std::isnan(v)) return "nan";
-  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  std::string out;
+  append_exact_number(out, v);
+  return out;
 }
 
 }  // namespace bbrmodel

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace bbrmodel {
 
@@ -30,10 +31,22 @@ std::uint64_t fnv1a64(const std::string& bytes,
 /// Fixed-width lowercase hex of a 64-bit value ("00ff00ff00ff00ff").
 std::string hex64(std::uint64_t v);
 
-/// Lossless text rendering of a double ("%.17g"): strtod of the result
-/// recovers the exact bit pattern. Used wherever serialized bytes feed a
-/// hash or must round-trip exactly (spec codec, cache cells) — unlike
-/// csv_number/json_number, which trade precision for short output.
+/// Lossless text rendering of a double: the bytes of printf's "%.17g" in
+/// the C locale, produced by std::to_chars (which the standard defines as
+/// that format), so parse_number<double> or strtod of the result recovers
+/// the exact bit pattern. Non-finite values are spelled "nan", "inf" and
+/// "-inf". Used wherever serialized bytes feed a hash or must round-trip
+/// exactly (spec codec, cache cells) — unlike csv_number/json_number,
+/// which trade precision for short output.
 std::string exact_number(double v);
+
+/// exact_number(v) appended to `out`: encoders build whole documents
+/// without a temporary string per number.
+void append_exact_number(std::string& out, double v);
+
+/// The exact numbers of `values` appended to `out`, separated by one ' '
+/// (nothing for an empty vector); parse_number_list (common/parse.h)
+/// reads them back.
+void append_exact_numbers(std::string& out, const std::vector<double>& values);
 
 }  // namespace bbrmodel

@@ -1,5 +1,6 @@
 #include "common/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -43,15 +44,18 @@ std::string json_quote(const std::string& s) {
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  return buf;
+  const auto result = std::to_chars(buf, buf + sizeof buf, v,
+                                    std::chars_format::general, 10);
+  return std::string(buf, result.ptr);
 }
 
 JsonWriter::JsonWriter(std::ostream& out) : out_(out) {}
 
 void JsonWriter::newline_indent() {
-  out_ << '\n';
-  for (std::size_t i = 0; i < scopes_.size(); ++i) out_ << "  ";
+  // One stream write per line break: emitters write thousands of rows.
+  std::string line = "\n";
+  line.append(2 * scopes_.size(), ' ');
+  out_ << line;
 }
 
 void JsonWriter::pre_value() {

@@ -62,8 +62,9 @@ class JsonWriter {
   bool key_pending_ = false;
 };
 
-/// Deterministic shortest-ish representation of a double ("%.10g", with
-/// non-finite values mapped to null). Shared by the CSV and JSON emitters.
+/// Deterministic short representation of a double: the bytes of printf's
+/// "%.10g" in the C locale, produced by std::to_chars, with non-finite
+/// values mapped to null. Shared by the CSV and JSON emitters.
 std::string json_number(double v);
 
 }  // namespace bbrmodel

@@ -1,9 +1,8 @@
 #include "orchestrator/execution_plan.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-#include <sstream>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "adaptive/refiner.h"
@@ -19,29 +18,71 @@ namespace {
 
 constexpr const char* kVersionLine = "bbrm-plan=1";
 
-sweep::Backend parse_backend_name(const std::string& name) {
-  const auto backend = sweep::backend_from_name(name);
-  BBRM_REQUIRE_MSG(backend.has_value(),
-                   "execution plan: unknown backend '" + name + "'");
+sweep::Backend parse_backend_name(std::string_view name) {
+  const auto backend = sweep::backend_from_name(std::string(name));
+  BBRM_REQUIRE_MSG(backend.has_value(), "execution plan: unknown backend '" +
+                                            std::string(name) + "'");
   return *backend;
 }
 
-/// "key=value" line reader that fails loudly on the wrong key — plan
-/// parsing must reject shuffled or truncated documents, not misread them.
-std::string expect_field(std::istringstream& in, const std::string& key) {
-  std::string line;
-  BBRM_REQUIRE_MSG(static_cast<bool>(std::getline(in, line)),
-                   "execution plan: truncated before '" + key + "'");
-  const std::string prefix = key + "=";
-  BBRM_REQUIRE_MSG(line.rfind(prefix, 0) == 0,
-                   "execution plan: expected '" + prefix + "...', got '" +
-                       line + "'");
-  return line.substr(prefix.size());
-}
+/// Walks a serialized plan in place: every line and spec is a view into
+/// the one text, never a copy of it.
+class PlanReader {
+ public:
+  explicit PlanReader(std::string_view text) : rest_(text) {}
 
-std::size_t parse_size(const std::string& text, const std::string& what) {
+  /// The next line without its '\n' (the last may lack one); false at the
+  /// end of the text.
+  bool next_line(std::string_view& line) {
+    if (rest_.empty()) return false;
+    const auto newline = rest_.find('\n');
+    line = rest_.substr(0, newline);
+    rest_.remove_prefix(newline == std::string_view::npos ? rest_.size()
+                                                          : newline + 1);
+    return true;
+  }
+
+  /// A "key=value" line's value; fails loudly on the wrong key — plan
+  /// parsing must reject shuffled or truncated documents, not misread
+  /// them.
+  std::string_view expect_field(std::string_view key) {
+    std::string_view line;
+    BBRM_REQUIRE_MSG(next_line(line), "execution plan: truncated before '" +
+                                          std::string(key) + "'");
+    BBRM_REQUIRE_MSG(line.size() > key.size() && line[key.size()] == '=' &&
+                         line.substr(0, key.size()) == key,
+                     "execution plan: expected '" + std::string(key) +
+                         "=...', got '" + std::string(line) + "'");
+    return line.substr(key.size() + 1);
+  }
+
+  /// The next `n` raw bytes, or nullopt when fewer remain.
+  std::optional<std::string_view> take(std::size_t n) {
+    if (rest_.size() < n) return std::nullopt;
+    const std::string_view bytes = rest_.substr(0, n);
+    rest_.remove_prefix(n);
+    return bytes;
+  }
+
+ private:
+  std::string_view rest_;
+};
+
+std::size_t parse_size(std::string_view text, const std::string& what) {
   return static_cast<std::size_t>(
       parse_u64(text, "execution plan " + what));
+}
+
+/// The version line and the runner/cells header fields.
+ExecutionPlan::Header read_header(PlanReader& in) {
+  std::string_view line;
+  BBRM_REQUIRE_MSG(in.next_line(line) && line == kVersionLine,
+                   "execution plan: expected version line '" +
+                       std::string(kVersionLine) + "'");
+  ExecutionPlan::Header header;
+  header.runner = std::string(in.expect_field("runner"));
+  header.cells = parse_size(in.expect_field("cells"), "count");
+  return header;
 }
 
 }  // namespace
@@ -145,48 +186,35 @@ std::string ExecutionPlan::serialize() const {
   return out;
 }
 
-ExecutionPlan ExecutionPlan::parse(const std::string& bytes) {
-  std::istringstream in(bytes);
-  std::string line;
-  BBRM_REQUIRE_MSG(std::getline(in, line) && line == kVersionLine,
-                   "execution plan: expected version line '" +
-                       std::string(kVersionLine) + "'");
-  std::string runner_name = expect_field(in, "runner");
-  const std::size_t count = parse_size(expect_field(in, "cells"), "count");
+ExecutionPlan ExecutionPlan::parse(std::string_view bytes) {
+  PlanReader in(bytes);
+  Header header = read_header(in);
 
   std::vector<sweep::SweepTask> cells;
-  cells.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
+  cells.reserve(header.cells);
+  for (std::size_t i = 0; i < header.cells; ++i) {
     sweep::SweepTask task;
-    task.index = parse_size(expect_field(in, "cell"), "cell index");
-    task.backend = parse_backend_name(expect_field(in, "backend"));
-    task.mix_label = expect_field(in, "mix");
+    task.index = parse_size(in.expect_field("cell"), "cell index");
+    task.backend = parse_backend_name(in.expect_field("backend"));
+    task.mix_label = std::string(in.expect_field("mix"));
     const std::size_t spec_bytes =
-        parse_size(expect_field(in, "spec-bytes"), "spec size");
-    std::string spec(spec_bytes, '\0');
-    in.read(spec.data(), static_cast<std::streamsize>(spec_bytes));
-    BBRM_REQUIRE_MSG(in.gcount() ==
-                         static_cast<std::streamsize>(spec_bytes),
+        parse_size(in.expect_field("spec-bytes"), "spec size");
+    const auto spec = in.take(spec_bytes);
+    BBRM_REQUIRE_MSG(spec.has_value(),
                      "execution plan: truncated spec bytes of cell " +
                          std::to_string(task.index));
-    task.spec = scenario::parse_canonical_spec(spec);
+    task.spec = scenario::parse_canonical_spec(*spec);
     cells.push_back(std::move(task));
   }
-  BBRM_REQUIRE_MSG(!std::getline(in, line) || line.empty(),
+  std::string_view line;
+  BBRM_REQUIRE_MSG(!in.next_line(line) || line.empty(),
                    "execution plan: trailing bytes after the last cell");
-  return ExecutionPlan(std::move(cells), std::move(runner_name));
+  return ExecutionPlan(std::move(cells), std::move(header.runner));
 }
 
-ExecutionPlan::Header ExecutionPlan::peek_header(const std::string& bytes) {
-  std::istringstream in(bytes);
-  std::string line;
-  BBRM_REQUIRE_MSG(std::getline(in, line) && line == kVersionLine,
-                   "execution plan: expected version line '" +
-                       std::string(kVersionLine) + "'");
-  Header header;
-  header.runner = expect_field(in, "runner");
-  header.cells = parse_size(expect_field(in, "cells"), "count");
-  return header;
+ExecutionPlan::Header ExecutionPlan::peek_header(std::string_view bytes) {
+  PlanReader in(bytes);
+  return read_header(in);
 }
 
 sweep::SweepResult execute(const ExecutionPlan& plan,

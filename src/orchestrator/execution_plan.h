@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sweep/sweep.h"
@@ -104,11 +105,11 @@ class ExecutionPlan {
   std::string serialize() const;
 
   /// Inverse of serialize(). Throws PreconditionError on malformed input.
-  static ExecutionPlan parse(const std::string& bytes);
+  static ExecutionPlan parse(std::string_view bytes);
 
   /// The header fields of a serialized plan, parsed from its first lines
-  /// alone — a million-cell plan's size and runner cost three getlines,
-  /// not a full parse of every spec. `bytes` may be any prefix of the
+  /// alone — a million-cell plan's size and runner cost three lines, not
+  /// a full parse of every spec. `bytes` may be any prefix of the
   /// document that covers the three header lines (callers read the first
   /// few hundred bytes of a plan file, never the whole thing). Throws
   /// PreconditionError on malformed input.
@@ -116,7 +117,7 @@ class ExecutionPlan {
     std::string runner;
     std::size_t cells = 0;
   };
-  static Header peek_header(const std::string& bytes);
+  static Header peek_header(std::string_view bytes);
 
  private:
   ExecutionPlan(std::vector<sweep::SweepTask> cells, std::string runner_name);

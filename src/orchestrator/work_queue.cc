@@ -292,11 +292,12 @@ std::string encode_log_record(std::size_t index, bool ok,
   return out;
 }
 
+/// One decoded record; `error` and `payload` view the caller's bytes.
 struct LogRecord {
   std::size_t index = 0;
   bool ok = true;
-  std::string error;
-  std::string payload;
+  std::string_view error;
+  std::string_view payload;
 };
 
 /// Decode one record from the front of `data`. nullopt = incomplete or
@@ -320,9 +321,10 @@ std::optional<std::pair<LogRecord, std::size_t>> decode_log_record(
   LogRecord record;
   record.index = static_cast<std::size_t>(get_u64(data + 16));
   record.ok = (flags & 1u) != 0;
-  record.error.assign(data + kLogHeaderBytes, error_len);
-  record.payload.assign(data + kLogHeaderBytes + error_len, payload_len);
-  return std::make_pair(std::move(record), total);
+  record.error = std::string_view(data + kLogHeaderBytes, error_len);
+  record.payload =
+      std::string_view(data + kLogHeaderBytes + error_len, payload_len);
+  return std::make_pair(record, total);
 }
 
 /// Count the valid records of a log from byte `from` on. `valid_end` is
@@ -425,25 +427,32 @@ std::string encode_result_file(const sweep::TaskResult& result) {
 /// is absent or damaged.
 std::optional<sweep::TaskResult> load_result_file(
     const std::string& path, const sweep::SweepTask& task) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::string status, error;
-  if (!std::getline(in, status) || status.rfind("status=", 0) != 0) {
-    return std::nullopt;
-  }
-  if (!std::getline(in, error) || error.rfind("error=", 0) != 0) {
-    return std::nullopt;
-  }
-  std::ostringstream rest;
-  rest << in.rdbuf();
-  auto metrics = sweep::decode_cell_metrics(rest.str());
+  const auto bytes = read_text_file(path);
+  if (!bytes) return std::nullopt;
+  std::string_view rest = *bytes;
+  const auto field = [&rest](std::string_view key)
+      -> std::optional<std::string_view> {
+    const auto newline = rest.find('\n');
+    if (newline == std::string_view::npos ||
+        rest.substr(0, key.size()) != key) {
+      return std::nullopt;
+    }
+    const std::string_view value =
+        rest.substr(key.size(), newline - key.size());
+    rest.remove_prefix(newline + 1);
+    return value;
+  };
+  const auto status = field("status=");
+  const auto error = status ? field("error=") : std::nullopt;
+  if (!error) return std::nullopt;
+  auto metrics = sweep::decode_cell_metrics(rest);
   if (!metrics) return std::nullopt;
 
   sweep::TaskResult result;
   result.task = task;
   result.metrics = std::move(*metrics);
-  result.ok = status.substr(7) == "ok";
-  result.error = error.substr(6);
+  result.ok = *status == "ok";
+  result.error = std::string(*error);
   return result;
 }
 
@@ -734,13 +743,13 @@ std::optional<double> WorkQueue::stored_skew_margin_s(
 
 ExecutionPlan WorkQueue::load_plan() const {
   BBRM_REQUIRE_MSG(has_plan(), "queue " + dir_ + " has no plan yet");
-  std::string bytes = read_text_file(plan_path()).value_or("");
+  const std::string bytes = read_text_file(plan_path()).value_or("");
   require_current_stamp(dir_, bytes);
   stamp_checked_.store(true);
-  // Strip in place: a large plan's text runs to tens of MB, and a copy
-  // would double the attach's peak memory.
-  bytes.erase(0, kLayoutStamp.size());
-  return ExecutionPlan::parse(bytes);
+  // Parse a view past the stamp: a large plan's text runs to a hundred
+  // MB, and neither a copy nor an in-place erase is free.
+  return ExecutionPlan::parse(
+      std::string_view(bytes).substr(kLayoutStamp.size()));
 }
 
 std::optional<Claim> WorkQueue::try_claim_segment(
@@ -1076,12 +1085,24 @@ std::size_t WorkQueue::recover_expired() const {
   return recovered;
 }
 
+const WorkQueue::ResultLoc* WorkQueue::find_result_locked(
+    std::size_t index) const {
+  // A hit is final: an indexed record never changes (first wins) and is
+  // never erased, so only a miss needs the results/ readdir and log stats
+  // a refresh costs — which still finds a cell published since the last
+  // one.
+  auto it = result_index_.find(index);
+  if (it == result_index_.end()) {
+    refresh_result_index_locked();
+    it = result_index_.find(index);
+  }
+  return it == result_index_.end() ? nullptr : &it->second;
+}
+
 std::optional<bool> WorkQueue::result_ok(std::size_t index) const {
   {
     std::lock_guard<std::mutex> lock(result_mutex_);
-    refresh_result_index_locked();
-    const auto it = result_index_.find(index);
-    if (it != result_index_.end()) return it->second.ok != 0;
+    if (const ResultLoc* loc = find_result_locked(index)) return loc->ok != 0;
   }
   return result_file_ok(failed_path(index));
 }
@@ -1090,46 +1111,41 @@ std::optional<sweep::TaskResult> WorkQueue::load_result(
     const sweep::SweepTask& task) const {
   {
     std::lock_guard<std::mutex> lock(result_mutex_);
-    refresh_result_index_locked();
-    const auto it = result_index_.find(task.index);
-    if (it != result_index_.end()) {
+    if (const ResultLoc* loc = find_result_locked(task.index)) {
       // One pread of one record through the cached handle — streaming
       // collects hold a single record in memory, never a segment's worth
       // of decoded results.
-      LogState& log = logs_[it->second.log];
+      LogState& log = logs_[loc->log];
       if (log.read == nullptr) {
         log.read = std::fopen(
             (fs::path(results_dir()) / log.name).string().c_str(), "rb");
       }
+      std::string record(kLogHeaderBytes, '\0');
       if (log.read != nullptr &&
-          std::fseek(log.read, static_cast<long>(it->second.offset),
-                     SEEK_SET) == 0) {
-        char header[kLogHeaderBytes];
-        if (std::fread(header, 1, sizeof header, log.read) ==
-                sizeof header &&
-            get_u32(header) == kLogMagic) {
-          const std::uint32_t error_len = get_u32(header + 4);
-          const std::uint32_t payload_len = get_u32(header + 8);
-          if (error_len <= kMaxLogField && payload_len <= kMaxLogField) {
-            std::string body(
-                static_cast<std::size_t>(error_len) + payload_len + 8,
-                '\0');
-            if (std::fread(body.data(), 1, body.size(), log.read) ==
-                body.size()) {
-              std::string record(header, sizeof header);
-              record += body;
-              if (const auto decoded = decode_log_record(record.data(),
-                                                         record.size())) {
-                auto metrics =
-                    sweep::decode_cell_metrics(decoded->first.payload);
-                if (metrics) {
-                  sweep::TaskResult result;
-                  result.task = task;
-                  result.metrics = std::move(*metrics);
-                  result.ok = decoded->first.ok;
-                  result.error = decoded->first.error;
-                  return result;
-                }
+          std::fseek(log.read, static_cast<long>(loc->offset), SEEK_SET) ==
+              0 &&
+          std::fread(record.data(), 1, kLogHeaderBytes, log.read) ==
+              kLogHeaderBytes &&
+          get_u32(record.data()) == kLogMagic) {
+        const std::uint32_t error_len = get_u32(record.data() + 4);
+        const std::uint32_t payload_len = get_u32(record.data() + 8);
+        if (error_len <= kMaxLogField && payload_len <= kMaxLogField) {
+          const std::size_t body =
+              static_cast<std::size_t>(error_len) + payload_len + 8;
+          record.resize(kLogHeaderBytes + body);
+          if (std::fread(record.data() + kLogHeaderBytes, 1, body,
+                         log.read) == body) {
+            if (const auto decoded =
+                    decode_log_record(record.data(), record.size())) {
+              auto metrics =
+                  sweep::decode_cell_metrics(decoded->first.payload);
+              if (metrics) {
+                sweep::TaskResult result;
+                result.task = task;
+                result.metrics = std::move(*metrics);
+                result.ok = decoded->first.ok;
+                result.error = std::string(decoded->first.error);
+                return result;
               }
             }
           }

@@ -264,14 +264,19 @@ class WorkQueue {
   std::size_t recover_expired() const;
 
   /// Read one finished cell back, joining the stored status/metrics with
-  /// the plan's task coordinates. nullopt when the cell has no result yet
-  /// or the file is damaged.
+  /// the plan's task coordinates: one record read from its worker's log,
+  /// else the failed-cell file. The result index is refreshed (one
+  /// results/ readdir, one stat per log) only when it lacks the cell, so
+  /// a collect over a finished queue lists results/ once, not per cell,
+  /// and a cell published since the last refresh is still found. nullopt
+  /// when the cell has no result yet or its bytes are damaged.
   std::optional<sweep::TaskResult> load_result(
       const sweep::SweepTask& task) const;
 
   /// Status-only peek at a result: true = ok, false = failed, nullopt =
-  /// absent/damaged. Reads one line, not the metrics — the cheap half of
-  /// collect_json's totals pre-pass.
+  /// absent/damaged. An index lookup (refreshed only on a miss, as in
+  /// load_result) or the failed file's status line, never the metrics —
+  /// the cheap half of collect_json's totals pre-pass.
   std::optional<bool> result_ok(std::size_t index) const;
 
   /// Atomically (re)write this worker's stats file; its mtime doubles as
@@ -360,6 +365,10 @@ class WorkQueue {
   /// Pull every log's new bytes into the result index (one stat per log,
   /// growth read once). Caller must hold result_mutex_.
   void refresh_result_index_locked() const;
+  /// The index entry of `index`, refreshing the index only on a miss (a
+  /// hit never changes). nullptr when no log holds the cell. Caller must
+  /// hold result_mutex_.
+  const ResultLoc* find_result_locked(std::size_t index) const;
   /// Has `index` a published result? Refreshes the index into
   /// `result_lock` on first use (refresh-once-per-sweep for callers
   /// probing many members), then answers from the index plus one

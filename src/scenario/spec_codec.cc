@@ -1,128 +1,110 @@
 #include "scenario/spec_codec.h"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
-#include <functional>
+#include <bitset>
 #include <map>
-#include <set>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "common/hash.h"
+#include "common/parse.h"
 #include "common/require.h"
 
 namespace bbrmodel::scenario {
 
 namespace {
 
-std::string encode_bool(bool v) { return v ? "1" : "0"; }
+void encode_bool(std::string& out, bool v) { out += v ? '1' : '0'; }
 
-bool decode_bool(const std::string& text) {
+bool decode_bool(std::string_view text) {
   BBRM_REQUIRE_MSG(text == "0" || text == "1",
-                   "spec codec: bool fields are 0 or 1, got '" + text + "'");
+                   "spec codec: bool fields are 0 or 1, got '" +
+                       std::string(text) + "'");
   return text == "1";
 }
 
-double decode_double(const std::string& text) {
-  if (text == "nan") return std::nan("");
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  BBRM_REQUIRE_MSG(end != text.c_str() && *end == '\0',
-                   "spec codec: bad number '" + text + "'");
-  return v;
+/// Every number field reads through parse_number: exactly the bytes the
+/// encoder writes, so a sign, blank, hex or out-of-range spelling throws
+/// instead of aliasing another spec.
+template <typename T>
+T decode_number(std::string_view text) {
+  const auto v = parse_number<T>(text);
+  BBRM_REQUIRE_MSG(v.has_value(),
+                   "spec codec: bad number '" + std::string(text) + "'");
+  return *v;
 }
 
-std::uint64_t decode_u64(const std::string& text) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  BBRM_REQUIRE_MSG(end != text.c_str() && *end == '\0' && errno != ERANGE,
-                   "spec codec: bad integer '" + text + "'");
-  return v;
-}
-
-int decode_int(const std::string& text) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  BBRM_REQUIRE_MSG(end != text.c_str() && *end == '\0' && errno != ERANGE,
-                   "spec codec: bad integer '" + text + "'");
-  return static_cast<int>(v);
-}
-
-CcaKind decode_cca(const std::string& name) {
-  if (name == to_string(CcaKind::kReno)) return CcaKind::kReno;
-  if (name == to_string(CcaKind::kCubic)) return CcaKind::kCubic;
-  if (name == to_string(CcaKind::kBbrv1)) return CcaKind::kBbrv1;
-  if (name == to_string(CcaKind::kBbrv2)) return CcaKind::kBbrv2;
-  BBRM_REQUIRE_MSG(false, "spec codec: unknown CCA '" + name + "'");
+CcaKind decode_cca(std::string_view name) {
+  for (const CcaKind kind : {CcaKind::kReno, CcaKind::kCubic,
+                             CcaKind::kBbrv1, CcaKind::kBbrv2}) {
+    if (name == to_string(kind)) return kind;
+  }
+  BBRM_REQUIRE_MSG(false,
+                   "spec codec: unknown CCA '" + std::string(name) + "'");
   return CcaKind::kReno;
 }
 
-std::string encode_flows(const std::vector<CcaKind>& flows) {
-  std::string out;
+void encode_flows(std::string& out, const std::vector<CcaKind>& flows) {
   for (std::size_t i = 0; i < flows.size(); ++i) {
     if (i != 0) out += ',';
     out += to_string(flows[i]);
   }
-  return out;
 }
 
-std::vector<CcaKind> decode_flows(const std::string& text) {
+std::vector<CcaKind> decode_flows(std::string_view text) {
   std::vector<CcaKind> flows;
-  std::stringstream stream(text);
-  std::string name;
-  while (std::getline(stream, name, ',')) flows.push_back(decode_cca(name));
-  return flows;
-}
-
-std::string encode_doubles(const std::vector<double>& values) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ' ';
-    out += exact_number(values[i]);
+  if (text.empty()) return flows;
+  while (true) {
+    const auto comma = text.find(',');
+    flows.push_back(decode_cca(text.substr(0, comma)));
+    if (comma == std::string_view::npos) return flows;
+    text.remove_prefix(comma + 1);
   }
-  return out;
 }
 
-std::vector<double> decode_doubles(const std::string& text) {
-  std::vector<double> values;
-  std::stringstream stream(text);
-  std::string token;
-  while (stream >> token) values.push_back(decode_double(token));
-  return values;
+std::vector<double> decode_doubles(std::string_view text) {
+  auto values = parse_number_list(text);
+  BBRM_REQUIRE_MSG(values.has_value(), "spec codec: bad number list '" +
+                                           std::string(text) + "'");
+  return std::move(*values);
 }
 
-std::string encode_discipline(net::Discipline d) {
+const char* encode_discipline(net::Discipline d) {
   return d == net::Discipline::kRed ? "red" : "droptail";
 }
 
-net::Discipline decode_discipline(const std::string& text) {
+net::Discipline decode_discipline(std::string_view text) {
   if (text == "droptail") return net::Discipline::kDropTail;
   if (text == "red") return net::Discipline::kRed;
-  BBRM_REQUIRE_MSG(false, "spec codec: unknown discipline '" + text + "'");
+  BBRM_REQUIRE_MSG(false, "spec codec: unknown discipline '" +
+                              std::string(text) + "'");
   return net::Discipline::kDropTail;
 }
 
-/// One serialized field: canonical key, getter, setter.
+/// One serialized field: canonical key, encoder (appends the value) and
+/// decoder.
 struct FieldCodec {
   const char* key;
-  std::function<std::string(const ExperimentSpec&)> get;
-  std::function<void(ExperimentSpec&, const std::string&)> set;
+  void (*put)(const ExperimentSpec&, std::string&);
+  void (*set)(ExperimentSpec&, std::string_view);
 };
 
 #define BBRM_DOUBLE_FIELD(name, expr)                                     \
   FieldCodec {                                                            \
-    name, [](const ExperimentSpec& s) { return exact_number(s.expr); },   \
-        [](ExperimentSpec& s, const std::string& v) {                     \
-          s.expr = decode_double(v);                                      \
+    name,                                                                 \
+        [](const ExperimentSpec& s, std::string& out) {                   \
+          append_exact_number(out, s.expr);                               \
+        },                                                                \
+        [](ExperimentSpec& s, std::string_view v) {                       \
+          s.expr = decode_number<double>(v);                              \
         }                                                                 \
   }
 #define BBRM_BOOL_FIELD(name, expr)                                       \
   FieldCodec {                                                            \
-    name, [](const ExperimentSpec& s) { return encode_bool(s.expr); },    \
-        [](ExperimentSpec& s, const std::string& v) {                     \
+    name,                                                                 \
+        [](const ExperimentSpec& s, std::string& out) {                   \
+          encode_bool(out, s.expr);                                       \
+        },                                                                \
+        [](ExperimentSpec& s, std::string_view v) {                       \
           s.expr = decode_bool(v);                                        \
         }                                                                 \
   }
@@ -133,11 +115,13 @@ struct FieldCodec {
 const std::vector<FieldCodec>& field_codecs() {
   static const std::vector<FieldCodec> kFields = {
       {"mix.label",
-       [](const ExperimentSpec& s) { return s.mix.label; },
-       [](ExperimentSpec& s, const std::string& v) { s.mix.label = v; }},
+       [](const ExperimentSpec& s, std::string& out) { out += s.mix.label; },
+       [](ExperimentSpec& s, std::string_view v) { s.mix.label = v; }},
       {"mix.flows",
-       [](const ExperimentSpec& s) { return encode_flows(s.mix.flows); },
-       [](ExperimentSpec& s, const std::string& v) {
+       [](const ExperimentSpec& s, std::string& out) {
+         encode_flows(out, s.mix.flows);
+       },
+       [](ExperimentSpec& s, std::string_view v) {
          s.mix.flows = decode_flows(v);
        }},
       BBRM_DOUBLE_FIELD("capacity_pps", capacity_pps),
@@ -145,20 +129,28 @@ const std::vector<FieldCodec>& field_codecs() {
       BBRM_DOUBLE_FIELD("min_rtt_s", min_rtt_s),
       BBRM_DOUBLE_FIELD("max_rtt_s", max_rtt_s),
       {"flow_rtts_s",
-       [](const ExperimentSpec& s) { return encode_doubles(s.flow_rtts_s); },
-       [](ExperimentSpec& s, const std::string& v) {
+       [](const ExperimentSpec& s, std::string& out) {
+         append_exact_numbers(out, s.flow_rtts_s);
+       },
+       [](ExperimentSpec& s, std::string_view v) {
          s.flow_rtts_s = decode_doubles(v);
        }},
       BBRM_DOUBLE_FIELD("buffer_bdp", buffer_bdp),
       {"discipline",
-       [](const ExperimentSpec& s) { return encode_discipline(s.discipline); },
-       [](ExperimentSpec& s, const std::string& v) {
+       [](const ExperimentSpec& s, std::string& out) {
+         out += encode_discipline(s.discipline);
+       },
+       [](ExperimentSpec& s, std::string_view v) {
          s.discipline = decode_discipline(v);
        }},
       BBRM_DOUBLE_FIELD("duration_s", duration_s),
       {"seed",
-       [](const ExperimentSpec& s) { return std::to_string(s.seed); },
-       [](ExperimentSpec& s, const std::string& v) { s.seed = decode_u64(v); }},
+       [](const ExperimentSpec& s, std::string& out) {
+         out += std::to_string(s.seed);
+       },
+       [](ExperimentSpec& s, std::string_view v) {
+         s.seed = decode_number<std::uint64_t>(v);
+       }},
       BBRM_DOUBLE_FIELD("fluid.step_s", fluid.step_s),
       BBRM_DOUBLE_FIELD("fluid.record_interval_s", fluid.record_interval_s),
       BBRM_DOUBLE_FIELD("fluid.k_time", fluid.k_time),
@@ -188,11 +180,11 @@ const std::vector<FieldCodec>& field_codecs() {
       BBRM_DOUBLE_FIELD("fluid.startup_initial_window_pkts",
                         fluid.startup_initial_window_pkts),
       {"fluid.startup_full_bw_rounds",
-       [](const ExperimentSpec& s) {
-         return std::to_string(s.fluid.startup_full_bw_rounds);
+       [](const ExperimentSpec& s, std::string& out) {
+         out += std::to_string(s.fluid.startup_full_bw_rounds);
        },
-       [](ExperimentSpec& s, const std::string& v) {
-         s.fluid.startup_full_bw_rounds = decode_int(v);
+       [](ExperimentSpec& s, std::string_view v) {
+         s.fluid.startup_full_bw_rounds = decode_number<int>(v);
        }},
   };
   return kFields;
@@ -202,6 +194,8 @@ const std::vector<FieldCodec>& field_codecs() {
 #undef BBRM_BOOL_FIELD
 
 constexpr const char* kVersionLine = "bbrm-spec=1";
+/// Width of parse_canonical_spec's seen-field set.
+constexpr std::size_t kMaxFields = 64;
 
 }  // namespace
 
@@ -219,7 +213,7 @@ std::string canonical_spec_string(const ExperimentSpec& spec) {
   for (const auto& field : field_codecs()) {
     out += field.key;
     out += '=';
-    out += field.get(spec);
+    field.put(spec, out);
     out += '\n';
   }
   return out;
@@ -229,40 +223,51 @@ std::string canonical_spec_hash(const ExperimentSpec& spec) {
   return hex64(fnv1a64(canonical_spec_string(spec)));
 }
 
-ExperimentSpec parse_canonical_spec(const std::string& bytes) {
-  std::map<std::string, const FieldCodec*> by_key;
-  for (const auto& field : field_codecs()) by_key[field.key] = &field;
+ExperimentSpec parse_canonical_spec(std::string_view bytes) {
+  const auto& fields = field_codecs();
+  // Built once: a plan load parses one spec per cell.
+  static const std::map<std::string_view, std::size_t> kByKey = [&fields] {
+    std::map<std::string_view, std::size_t> by_key;
+    for (std::size_t i = 0; i < fields.size(); ++i) by_key[fields[i].key] = i;
+    return by_key;
+  }();
+  BBRM_REQUIRE(fields.size() <= kMaxFields);
 
   ExperimentSpec spec;
-  std::set<std::string> seen;
-  std::stringstream stream(bytes);
-  std::string line;
+  std::bitset<kMaxFields> seen;
   bool version_seen = false;
-  while (std::getline(stream, line)) {
+  while (!bytes.empty()) {
+    const auto newline = bytes.find('\n');
+    const std::string_view line = bytes.substr(0, newline);
+    bytes.remove_prefix(newline == std::string_view::npos ? bytes.size()
+                                                          : newline + 1);
     if (line.empty()) continue;
     if (!version_seen) {
       BBRM_REQUIRE_MSG(line == kVersionLine,
                        "spec codec: expected '" + std::string(kVersionLine) +
-                           "', got '" + line + "'");
+                           "', got '" + std::string(line) + "'");
       version_seen = true;
       continue;
     }
     const auto eq = line.find('=');
-    BBRM_REQUIRE_MSG(eq != std::string::npos,
-                     "spec codec: malformed line '" + line + "'");
-    const std::string key = line.substr(0, eq);
-    const auto it = by_key.find(key);
-    BBRM_REQUIRE_MSG(it != by_key.end(),
-                     "spec codec: unknown field '" + key + "'");
-    BBRM_REQUIRE_MSG(seen.insert(key).second,
-                     "spec codec: duplicate field '" + key + "'");
-    it->second->set(spec, line.substr(eq + 1));
+    BBRM_REQUIRE_MSG(eq != std::string_view::npos,
+                     "spec codec: malformed line '" + std::string(line) +
+                         "'");
+    const std::string_view key = line.substr(0, eq);
+    const auto it = kByKey.find(key);
+    BBRM_REQUIRE_MSG(it != kByKey.end(), "spec codec: unknown field '" +
+                                             std::string(key) + "'");
+    BBRM_REQUIRE_MSG(!seen.test(it->second),
+                     "spec codec: duplicate field '" + std::string(key) +
+                         "'");
+    seen.set(it->second);
+    fields[it->second].set(spec, line.substr(eq + 1));
   }
   BBRM_REQUIRE_MSG(version_seen, "spec codec: missing version line");
-  BBRM_REQUIRE_MSG(seen.size() == field_codecs().size(),
+  BBRM_REQUIRE_MSG(seen.count() == fields.size(),
                    "spec codec: missing fields (got " +
-                       std::to_string(seen.size()) + " of " +
-                       std::to_string(field_codecs().size()) + ")");
+                       std::to_string(seen.count()) + " of " +
+                       std::to_string(fields.size()) + ")");
   return spec;
 }
 

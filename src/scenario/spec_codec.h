@@ -15,6 +15,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "scenario/scenario.h"
 
@@ -29,7 +30,7 @@ std::string canonical_spec_string(const ExperimentSpec& spec);
 
 /// Inverse of canonical_spec_string. Throws PreconditionError on unknown
 /// keys, malformed lines, or missing fields.
-ExperimentSpec parse_canonical_spec(const std::string& bytes);
+ExperimentSpec parse_canonical_spec(std::string_view bytes);
 
 /// The fixed-width hex "spec key" of a spec: FNV-1a 64 over its canonical
 /// bytes. This is the content-address fragment shared by cache cell file

@@ -2,19 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <map>
-#include <sstream>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 #include "common/atomic_io.h"
-#include "common/csv.h"
 #include "common/hash.h"
 #include "common/parse.h"
 #include "common/require.h"
@@ -30,30 +25,6 @@ const char* kCellHeader =
     "jain,loss_pct,occupancy_pct,utilization_pct,jitter_ms,mean_rate_pps,aux";
 
 constexpr const char* kManifestName = "manifest.idx";
-
-std::string encode_vector(const std::vector<double>& values) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ' ';
-    out += exact_number(values[i]);
-  }
-  return out;
-}
-
-/// nullopt on any malformed token — a damaged cell must read as a miss,
-/// not as a hit with an empty vector.
-std::optional<std::vector<double>> decode_vector(const std::string& text) {
-  std::vector<double> values;
-  std::stringstream stream(text);
-  std::string token;
-  while (stream >> token) {
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') return std::nullopt;
-    values.push_back(v);
-  }
-  return values;
-}
 
 /// Manifest entries, keyed by cell key; duplicate appends collapse to the
 /// latest line. Malformed lines are skipped: the manifest is an index the
@@ -97,42 +68,54 @@ std::string manifest_bytes(
 }  // namespace
 
 std::string encode_cell_metrics(const metrics::AggregateMetrics& m) {
-  std::ostringstream out;
-  CsvWriter csv(out, {"jain", "loss_pct", "occupancy_pct", "utilization_pct",
-                      "jitter_ms", "mean_rate_pps", "aux"});
-  csv.write_row(std::vector<std::string>{
-      exact_number(m.jain), exact_number(m.loss_pct),
-      exact_number(m.occupancy_pct), exact_number(m.utilization_pct),
-      exact_number(m.jitter_ms), encode_vector(m.mean_rate_pps),
-      encode_vector(m.aux)});
-  return out.str();
+  // A one-row CSV; no cell ever needs quoting (numbers and
+  // space-separated number lists).
+  std::string out = kCellHeader;
+  out += '\n';
+  for (const double v : {m.jain, m.loss_pct, m.occupancy_pct,
+                         m.utilization_pct, m.jitter_ms}) {
+    append_exact_number(out, v);
+    out += ',';
+  }
+  append_exact_numbers(out, m.mean_rate_pps);
+  out += ',';
+  append_exact_numbers(out, m.aux);
+  out += '\n';
+  return out;
 }
 
 std::optional<metrics::AggregateMetrics> decode_cell_metrics(
-    const std::string& bytes) {
-  std::istringstream in(bytes);
-  std::string header, row;
-  if (!std::getline(in, header) || header != kCellHeader) return std::nullopt;
-  if (!std::getline(in, row)) return std::nullopt;
+    std::string_view bytes) {
+  const std::string_view header = kCellHeader;
+  if (bytes.substr(0, header.size()) != header ||
+      bytes.substr(header.size(), 1) != "\n") {
+    return std::nullopt;
+  }
+  std::string_view row = bytes.substr(header.size() + 1);
+  row = row.substr(0, row.find('\n'));
+  if (row.empty()) return std::nullopt;
 
-  std::vector<std::string> cells;
-  std::stringstream stream(row);
-  std::string cell;
-  while (std::getline(stream, cell, ',')) cells.push_back(cell);
-  // getline drops a trailing empty field (an empty aux vector).
-  if (!row.empty() && row.back() == ',') cells.emplace_back();
-  if (cells.size() != 7) return std::nullopt;
+  // Exactly seven comma-separated cells; the last (aux) may be empty.
+  std::string_view cells[7];
+  for (std::size_t i = 0; i < 7; ++i) {
+    const auto comma = row.find(',');
+    if ((comma == std::string_view::npos) != (i == 6)) return std::nullopt;
+    cells[i] = row.substr(0, comma);
+    if (comma != std::string_view::npos) row.remove_prefix(comma + 1);
+  }
 
   metrics::AggregateMetrics m;
   double* scalars[5] = {&m.jain, &m.loss_pct, &m.occupancy_pct,
                         &m.utilization_pct, &m.jitter_ms};
   for (std::size_t i = 0; i < 5; ++i) {
-    char* end = nullptr;
-    *scalars[i] = std::strtod(cells[i].c_str(), &end);
-    if (end == cells[i].c_str() || *end != '\0') return std::nullopt;
+    const auto v = parse_number<double>(cells[i]);
+    if (!v) return std::nullopt;
+    *scalars[i] = *v;
   }
-  auto rates = decode_vector(cells[5]);
-  auto aux = decode_vector(cells[6]);
+  // A malformed vector must read as a miss, not as a hit with an empty
+  // vector.
+  auto rates = parse_number_list(cells[5]);
+  auto aux = parse_number_list(cells[6]);
   if (!rates || !aux) return std::nullopt;
   m.mean_rate_pps = std::move(*rates);
   m.aux = std::move(*aux);

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "metrics/aggregate.h"
 #include "sweep/parameter_grid.h"
@@ -118,9 +119,11 @@ std::string cell_key(const std::string& runner_name, const SweepTask& task);
 /// result files, so both round-trip metrics bit-for-bit.
 std::string encode_cell_metrics(const metrics::AggregateMetrics& m);
 
-/// Inverse of encode_cell_metrics. nullopt on any damage or stale layout —
-/// a corrupt payload must read as absent, never as wrong data.
+/// Inverse of encode_cell_metrics. nullopt on any damage or stale layout,
+/// and on any number the encoder cannot have written (a sign other than
+/// '-', whitespace, hex) — a corrupt payload must read as absent, never
+/// as wrong data.
 std::optional<metrics::AggregateMetrics> decode_cell_metrics(
-    const std::string& bytes);
+    std::string_view bytes);
 
 }  // namespace bbrmodel::sweep

@@ -144,6 +144,31 @@ TEST(SpecCodec, RejectsMalformedInput) {
   EXPECT_THROW(
       scenario::parse_canonical_spec(bytes.substr(0, bytes.size() / 2)),
       PreconditionError);
+
+  // Numbers must be spelled the way the encoder spells them: no sign but a
+  // leading '-' on signed fields, no whitespace, no hex, nothing out of
+  // range (an int field must not wrap).
+  const auto with_field = [&bytes](const std::string& key,
+                                   const std::string& value) {
+    const auto start = bytes.find("\n" + key + "=") + 1;
+    const auto end = bytes.find('\n', start);
+    return bytes.substr(0, start) + key + "=" + value + bytes.substr(end);
+  };
+  EXPECT_NO_THROW(scenario::parse_canonical_spec(with_field("seed", "7")));
+  for (const auto& [key, value] : std::vector<std::pair<std::string,
+                                                         std::string>>{
+           {"seed", "-1"},
+           {"seed", "+7"},
+           {"seed", " 7"},
+           {"fluid.startup_full_bw_rounds", "4294967297"},
+           {"buffer_bdp", " 0.5"},
+           {"buffer_bdp", "+0.5"},
+           {"buffer_bdp", "0x1p-1"},
+       }) {
+    EXPECT_THROW(scenario::parse_canonical_spec(with_field(key, value)),
+                 PreconditionError)
+        << key << "=" << value;
+  }
 }
 
 TEST(SpecCodec, CustomBbrInitIsUncacheable) {
@@ -550,6 +575,21 @@ TEST(CellMetricsCodec, RoundTripsExactly) {
   EXPECT_TRUE(decoded->aux.empty());
   EXPECT_FALSE(decode_cell_metrics("old,header\n1,2\n").has_value());
   EXPECT_FALSE(decode_cell_metrics("").has_value());
+
+  // A cell the encoder cannot have written reads as a miss.
+  const std::string header =
+      "jain,loss_pct,occupancy_pct,utilization_pct,jitter_ms,"
+      "mean_rate_pps,aux\n";
+  EXPECT_TRUE(decode_cell_metrics(header + "1,2,3,4,5,6 7,\n").has_value());
+  for (const std::string cell : {" 1", "+1", "0x1"}) {
+    EXPECT_FALSE(
+        decode_cell_metrics(header + cell + ",2,3,4,5,6 7,\n").has_value())
+        << "'" << cell << "'";
+    EXPECT_FALSE(
+        decode_cell_metrics(header + "1,2,3,4,5,6 " + cell + ",\n")
+            .has_value())
+        << "'" << cell << "' in a vector";
+  }
 }
 
 TEST(Merge, RejectsIncompleteOrDuplicatedUnions) {

@@ -2,10 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <sstream>
+#include <string>
 
 #include "common/csv.h"
+#include "common/hash.h"
 #include "common/json.h"
 #include "common/parse.h"
 #include "common/require.h"
@@ -211,6 +217,62 @@ TEST(CsvNumber, DeterministicFormatting) {
   EXPECT_EQ(csv_number(-3.5e-7), "-3.5e-07");
   EXPECT_EQ(csv_number(std::nan("")), "");
   EXPECT_EQ(csv_number(std::numeric_limits<double>::infinity()), "");
+}
+
+/// printf's rendering of `v` at `format`, in the C locale the tests run in.
+std::string printf_number(const char* format, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, format, v);
+  return buf;
+}
+
+/// The stored bytes of every number are printf's: %.17g for the exact
+/// codecs, %.10g for CSV and JSON; and parse_number reads every exact
+/// number back bit for bit. Old caches, plans and result logs stay
+/// readable only while this holds, so it is checked on edge values and on
+/// a million seeded random bit patterns (NaN payloads, subnormals and
+/// infinities included).
+TEST(NumberFormat, MatchesPrintfAndRoundTrips) {
+  const auto check = [](double v) {
+    if (std::isnan(v)) {
+      EXPECT_EQ(exact_number(v), "nan");
+      EXPECT_EQ(json_number(v), "null");
+      EXPECT_EQ(csv_number(v), "");
+      return;
+    }
+    if (std::isinf(v)) {
+      EXPECT_EQ(exact_number(v), v > 0 ? "inf" : "-inf");
+      EXPECT_EQ(json_number(v), "null");
+      EXPECT_EQ(csv_number(v), "");
+      return;
+    }
+    const std::string exact = exact_number(v);
+    ASSERT_EQ(exact, printf_number("%.17g", v));
+    ASSERT_EQ(json_number(v), printf_number("%.10g", v));
+    ASSERT_EQ(csv_number(v), printf_number("%.10g", v));
+    const auto back = parse_number<double>(exact);
+    ASSERT_TRUE(back.has_value()) << exact;
+    ASSERT_EQ(std::memcmp(&*back, &v, sizeof v), 0) << exact;
+  };
+  using limits = std::numeric_limits<double>;
+  for (const double v :
+       {0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 2.0 / 3.0, 0.5, 1e21, 1e22,
+        1e-7, 1e-5, 1e-4, 9.9999999995e-5, 9.99999999995e9, 1e10, 1e15, 1e16,
+        1e17, 123456789012345678.0, 9007199254740993.0, 4503599627370496.5,
+        0.30000000000000004, 2.885, 8333.333333, 50e-6, limits::min(),
+        limits::max(), -limits::max(), limits::lowest(), limits::epsilon(),
+        limits::denorm_min(), -limits::denorm_min(),
+        limits::min() - limits::denorm_min(), limits::infinity(),
+        -limits::infinity(), limits::quiet_NaN(), -limits::quiet_NaN()}) {
+    check(v);
+  }
+  std::mt19937_64 bits(20221010);
+  for (int i = 0; i < 1000000; ++i) {
+    const std::uint64_t pattern = bits();
+    double v = 0.0;
+    std::memcpy(&v, &pattern, sizeof v);
+    check(v);
+  }
 }
 
 TEST(Json, QuoteEscapesControlAndSpecialCharacters) {

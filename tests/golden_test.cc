@@ -1,4 +1,4 @@
-// Golden bytes of the fluid model.
+// Golden bytes of the fluid model and of every stored format.
 //
 // Each digest below is an FNV-1a 64 hash of output the fluid integrator
 // produced when it was recorded: sweep CSV/JSON bytes, every double of a
@@ -7,9 +7,17 @@
 // evaluation must leave every digest unchanged; a change in any ULP of
 // any recorded value shows up here. Update a constant only for an
 // intended change of the model's numbers, and say so where it lands.
+//
+// Golden.StoredFormatBytes pins the bytes the codecs write to disk: plan
+// files, spec keys, cache cells, queue result logs and failed-cell files.
+// Old caches, result logs and queue directories stay readable only while
+// these bytes do not change; a codec rewrite must leave them equal, or
+// add a version line.
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -17,11 +25,16 @@
 
 #include <gtest/gtest.h>
 
+#include "common/atomic_io.h"
 #include "common/hash.h"
 #include "common/units.h"
 #include "core/engine.h"
 #include "net/topology.h"
+#include "orchestrator/execution_plan.h"
+#include "orchestrator/work_queue.h"
 #include "scenario/scenario.h"
+#include "scenario/spec_codec.h"
+#include "sweep/cell_cache.h"
 #include "sweep/parameter_grid.h"
 #include "sweep/runner.h"
 #include "sweep/sweep.h"
@@ -221,6 +234,103 @@ TEST(Golden, ParkingLotRunnerFluidRow) {
   for (const double rate : m.mean_rate_pps) d.add(rate);
   for (const double aux : m.aux) d.add(aux);
   EXPECT_EQ(d.hex(), "af78cafd438828ea");
+}
+
+/// A spec with every kind of codec field off its default: a labelled
+/// mix, per-flow RTT vectors, RED, a 64-bit seed, booleans and an int.
+scenario::ExperimentSpec stored_spec() {
+  scenario::ExperimentSpec spec;
+  spec.mix = scenario::half_half(scenario::CcaKind::kBbrv2,
+                                 scenario::CcaKind::kCubic, 6);
+  spec.capacity_pps = mbps_to_pps(250.0);
+  spec.bottleneck_delay_s = 0.007;
+  spec.min_rtt_s = 0.021;
+  spec.max_rtt_s = 0.055;
+  spec.buffer_bdp = 1.0 / 3.0;
+  spec.flow_rtts_s = {0.021, 0.025, 0.032, 0.040, 0.048, 0.055};
+  spec.discipline = net::Discipline::kRed;
+  spec.duration_s = 2.25;
+  spec.seed = 0xfeedfacecafebeefULL;
+  spec.fluid.step_s = 25e-6;
+  spec.fluid.literal_eq18 = true;
+  spec.fluid.model_startup = true;
+  spec.fluid.startup_full_bw_rounds = -5;
+  spec.fluid.bbr2_beta = 0.35;
+  spec.fluid.loss_indicator_eps = 1e-300;
+  return spec;
+}
+
+TEST(Golden, StoredFormatBytes) {
+  // A small plan: two backends x two mixes x two buffers, from stored_spec.
+  sweep::ParameterGrid grid;
+  grid.backends = {sweep::Backend::kFluid, sweep::Backend::kReduced};
+  grid.disciplines = {net::Discipline::kDropTail};
+  grid.buffers_bdp = {0.1, 2.5};
+  grid.flow_counts = {4};
+  grid.rtt_ranges = {{0.030, 0.040, sweep::RttDist::kUniform}};
+  grid.mixes = {sweep::homogeneous_mix(scenario::CcaKind::kBbrv1),
+                sweep::half_half_mix(scenario::CcaKind::kBbrv2,
+                                     scenario::CcaKind::kReno)};
+  const auto plan = orchestrator::ExecutionPlan::dense(grid, stored_spec(), 7);
+  ASSERT_EQ(plan.size(), 8u);
+  Digest plan_digest;
+  plan_digest.add(plan.serialize());
+  EXPECT_EQ(plan_digest.hex(), "c6e06fd9a30d39cd");
+
+  EXPECT_EQ(scenario::canonical_spec_hash(stored_spec()), "215a5b5c5fa4d94a");
+
+  metrics::AggregateMetrics m;
+  m.jain = std::numeric_limits<double>::quiet_NaN();
+  m.loss_pct = -0.0;
+  m.occupancy_pct = std::numeric_limits<double>::denorm_min() * 12345.0;
+  m.utilization_pct = 1e21;
+  m.jitter_ms = 1.0 / 3.0;
+  for (int i = 0; i < 10; ++i) {
+    m.mean_rate_pps.push_back(20833.333333333332 / (i + 1) + 1e-7 * i);
+  }
+  m.aux = {-2.5e-310, 0.1, 123456789.0};
+  Digest cell_digest;
+  cell_digest.add(sweep::encode_cell_metrics(m));
+  EXPECT_EQ(cell_digest.hex(), "03db8b381a1f4d50");
+
+  // Three fixed ok results published through the queue's public API (out
+  // of index order), plus one failed result, which goes to its own file.
+  const auto dir =
+      std::filesystem::path(::testing::TempDir()) / "golden_stored_queue";
+  std::filesystem::remove_all(dir);
+  {
+    orchestrator::WorkQueue queue(dir.string());
+    sweep::TaskResult result;
+    result.task = plan.cell(5);
+    result.metrics = m;
+    queue.publish(result, "golden-w");
+    result.task = plan.cell(2);
+    result.metrics.jain = 0.75;
+    result.metrics.loss_pct = 1e-3;
+    result.metrics.mean_rate_pps = {1.0, 2.0};
+    result.metrics.aux.clear();
+    queue.publish(result, "golden-w");
+    result.task = plan.cell(0);
+    result.metrics.occupancy_pct = 42.0;
+    result.metrics.mean_rate_pps.clear();
+    queue.publish(result, "golden-w");
+    result.task = plan.cell(7);
+    result.ok = false;
+    result.error = "timed out after 1 s";
+    queue.publish(result, "golden-w");
+  }
+  const auto log = read_text_file((dir / "results" / "golden-w.rlog").string());
+  const auto failed =
+      read_text_file((dir / "failed" / "0000000007.cell").string());
+  ASSERT_TRUE(log.has_value());
+  ASSERT_TRUE(failed.has_value());
+  Digest log_digest;
+  log_digest.add(*log);
+  EXPECT_EQ(log_digest.hex(), "4f5e83d67deec602");
+  Digest failed_digest;
+  failed_digest.add(*failed);
+  EXPECT_EQ(failed_digest.hex(), "8e8358b3983a540c");
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
