@@ -12,10 +12,17 @@
 // simulator's hottest path, and per-event allocation dominated its profile.
 // Closures larger than the inline storage (none today) are boxed on the
 // heap transparently; move-only captures are fine.
+//
+// A deadline that is pushed back again and again (a retransmission timer,
+// re-armed on every send and ACK) is a Timer, not a chain of events: it
+// keeps at most one live queue entry, so superseded deadlines neither
+// grow the heap nor pop as dead events.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <new>
 #include <queue>
@@ -41,7 +48,7 @@ class EventQueue {
   void schedule_at(double t, F&& action) {
     BBRM_REQUIRE_MSG(t >= now_ - 1e-12, "cannot schedule into the past");
     Node* node = make_node(std::forward<F>(action));
-    queue_.push(Entry{std::max(t, now_), next_seq_++, node});
+    queue_.push(Entry{std::max(t, now_), next_seq_++, node, nullptr});
   }
 
   /// Schedule `action` after `delay` seconds.
@@ -54,10 +61,46 @@ class EventQueue {
   /// Events scheduled exactly at t_end are executed.
   void run_until(double t_end);
 
-  /// Number of events executed so far.
+  /// Number of queue entries executed so far (a Timer's re-queued or
+  /// superseded entries count too).
   std::uint64_t executed() const { return executed_; }
 
   bool empty() const { return queue_.empty(); }
+
+  /// A re-armable one-shot timer. `on_fire` runs once, at the deadline of
+  /// the last arm(), in the (time, insertion order) slot an event scheduled
+  /// by that arm() would have had: arm() reserves the tie-break slot
+  /// schedule_at would hand out at that moment, so every other event keeps
+  /// its slot too. At most one queue entry per timer is live. An entry that
+  /// pops before a later-armed deadline re-queues itself there; only an
+  /// arm to an earlier deadline queues a new entry, and the one it
+  /// supersedes is dropped when it pops. A timer must outlive every
+  /// run_until that can pop its entries; the queue's destructor never
+  /// touches it.
+  class Timer {
+   public:
+    Timer(EventQueue& events, std::function<void()> on_fire)
+        : events_(events), on_fire_(std::move(on_fire)) {}
+    Timer(const Timer&) = delete;
+    Timer& operator=(const Timer&) = delete;
+
+    /// Fire at absolute time `t` (must not be in the past); this replaces
+    /// the deadline of every previous arm().
+    void arm(double t);
+
+   private:
+    friend class EventQueue;
+    /// Handle one of this timer's entries popping from the queue.
+    void pop(std::uint64_t seq);
+
+    EventQueue& events_;
+    std::function<void()> on_fire_;
+    bool armed_ = false;
+    double deadline_ = 0.0;          ///< the last arm's time and slot
+    std::uint64_t seq_ = 0;
+    double queued_time_ = 0.0;       ///< the live entry's time and slot
+    std::uint64_t queued_seq_ = 0;
+  };
 
  private:
   /// Inline closure capacity. Sized for the simulator's largest capture
@@ -76,7 +119,8 @@ class EventQueue {
   struct Entry {
     double time;
     std::uint64_t seq;  // insertion order for stable ties
-    Node* node;
+    Node* node;         // the event's closure, or null for a timer entry
+    Timer* timer;       // the timer a null-node entry belongs to
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {

@@ -254,15 +254,11 @@ void Flow::update_rtt(double sample_s) {
 }
 
 void Flow::arm_rto() {
-  const double deadline =
-      events_.now() + rto_ * std::exp2(static_cast<double>(rto_backoff_));
-  rto_deadline_ = deadline;
-  const std::uint64_t epoch = ++rto_epoch_;
-  events_.schedule_at(deadline, [this, epoch] { fire_rto(epoch); });
+  rto_timer_.arm(events_.now() +
+                 rto_ * std::exp2(static_cast<double>(rto_backoff_)));
 }
 
-void Flow::fire_rto(std::uint64_t epoch) {
-  if (epoch != rto_epoch_) return;  // superseded by a newer arm
+void Flow::fire_rto() {
   if (outstanding_.empty()) return;
 
   ++rtos_;

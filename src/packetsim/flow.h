@@ -103,7 +103,7 @@ class Flow {
   void handle_ack(std::int64_t cum, Packet echo);
   void update_rtt(double sample_s);
   void arm_rto();
-  void fire_rto(std::uint64_t epoch);
+  void fire_rto();
 
   EventQueue& events_;
   NodePool pool_;  ///< backs outstanding_/retx_queue_/rcv_out_of_order_
@@ -131,8 +131,7 @@ class Flow {
   double min_rtt_ = 0.0;
   double rto_ = 1.0;
   int rto_backoff_ = 0;
-  std::uint64_t rto_epoch_ = 0;
-  double rto_deadline_ = 0.0;
+  EventQueue::Timer rto_timer_{events_, [this] { fire_rto(); }};
 
   // Receiver state.
   std::int64_t rcv_next_ = 0;

@@ -54,7 +54,8 @@ DumbbellNet::DumbbellNet(double capacity_pps, double bottleneck_delay_s,
                          double sample_interval_s, RedThresholds red)
     : rng_(seed),
       buffer_pkts_(buffer_pkts),
-      sample_interval_s_(sample_interval_s) {
+      sample_interval_s_(sample_interval_s),
+      next_tick_s_(sample_interval_s) {
   BBRM_REQUIRE_MSG(buffer_pkts >= 1.0, "buffer must hold at least one packet");
   BBRM_REQUIRE_MSG(sample_interval_s > 0.0, "sample interval must be positive");
   link_ = std::make_unique<BottleneckLink>(
@@ -86,13 +87,14 @@ void DumbbellNet::run(double duration_s) {
     started_ = true;
     last_sent_.assign(flows_.size(), 0);
     for (auto& f : flows_) f->start();
-    // Schedule sampling ticks up front (cheap, deterministic).
-    for (double t = sample_interval_s_; t <= duration_s + 1e-12;
-         t += sample_interval_s_) {
-      events_.schedule_at(t, [this] { sample_row(); });
-    }
   }
   duration_s_ += duration_s;
+  // Schedule this call's sampling ticks up front (cheap, deterministic),
+  // continuing the tick accumulator where the previous call left it.
+  for (; next_tick_s_ <= duration_s_ + 1e-12;
+       next_tick_s_ += sample_interval_s_) {
+    events_.schedule_at(next_tick_s_, [this] { sample_row(); });
+  }
   events_.run_until(duration_s_);
   link_->flush_accounting();
 }

@@ -63,7 +63,8 @@ class DumbbellNet {
                        std::unique_ptr<PacketCca> cca,
                        double start_time_s = 0.0);
 
-  /// Run the experiment for `duration_s` seconds.
+  /// Run the experiment for `duration_s` more seconds; the trace keeps
+  /// sampling across calls.
   void run(double duration_s);
 
   std::size_t num_flows() const { return flows_.size(); }
@@ -88,6 +89,7 @@ class DumbbellNet {
   PacketTrace trace_;
   double duration_s_ = 0.0;
   bool started_ = false;
+  double next_tick_s_;  ///< first sampling tick not yet scheduled
 
   // Interval accounting for the trace.
   std::vector<std::int64_t> last_sent_;

@@ -188,7 +188,10 @@ struct WorkUnit {
 /// batching enabled) split, in task order, into units of at most
 /// `unit_cells`, sized so small grids still fan out across all workers
 /// instead of collapsing into one big unit. Everything else is a
-/// singleton unit. Unit layout never affects output bytes (see sweep.h).
+/// singleton unit. Multi-cell units come first, so the pool starts the
+/// longest work first and the short singletons fill in around it instead
+/// of one long unit running alone at the end. Unit layout and order never
+/// affect output bytes (see sweep.h).
 std::vector<WorkUnit> plan_units(const std::vector<SweepTask>& tasks,
                                  const Runner& runner,
                                  const SweepOptions& options,
@@ -201,17 +204,18 @@ std::vector<WorkUnit> plan_units(const std::vector<SweepTask>& tasks,
   const bool batching =
       runner.run_batch && requested > 1 && options.timeout_s <= 0.0;
 
-  std::vector<WorkUnit> units;
-  units.reserve(tasks.size());
   std::vector<std::size_t> batchable;
+  std::vector<std::size_t> singles;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     if (batching && runner.can_batch(tasks[i])) {
       batchable.push_back(i);
     } else {
-      units.push_back({{i}, false});
+      singles.push_back(i);
     }
   }
 
+  std::vector<WorkUnit> units;
+  units.reserve(tasks.size());
   const std::size_t n = batchable.size();
   // Keep every worker busy: never batch so coarsely that a small grid
   // serializes onto fewer threads than the pool has.
@@ -224,6 +228,7 @@ std::vector<WorkUnit> plan_units(const std::vector<SweepTask>& tasks,
     unit.batched = unit.members.size() > 1;
     units.push_back(std::move(unit));
   }
+  for (const std::size_t i : singles) units.push_back({{i}, false});
   return units;
 }
 

@@ -8,6 +8,13 @@
 // any recorded value shows up here. Update a constant only for an
 // intended change of the model's numbers, and say so where it lands.
 //
+// The Golden.*Packet* cases pin the packet simulator the same way: every
+// trace row, every FlowStats field of each flow, the link statistics and
+// the aggregate metrics of four experiments (drop-tail and RED dumbbells
+// that hit retransmission timeouts, a RED+ECN dumbbell and a 3-hop
+// parking lot). A change to the event loop, the timers or the transport
+// must leave them equal; the number of events executed is not pinned.
+//
 // Golden.StoredFormatBytes pins the bytes the codecs write to disk: plan
 // files, spec keys, cache cells, queue result logs and failed-cell files.
 // Old caches, result logs and queue directories stay readable only while
@@ -32,6 +39,12 @@
 #include "net/topology.h"
 #include "orchestrator/execution_plan.h"
 #include "orchestrator/work_queue.h"
+#include "packetsim/bbr1_cca.h"
+#include "packetsim/bbr2_cca.h"
+#include "packetsim/cubic_cca.h"
+#include "packetsim/multihop.h"
+#include "packetsim/network.h"
+#include "packetsim/reno_cca.h"
 #include "scenario/scenario.h"
 #include "scenario/spec_codec.h"
 #include "sweep/cell_cache.h"
@@ -234,6 +247,129 @@ TEST(Golden, ParkingLotRunnerFluidRow) {
   for (const double rate : m.mean_rate_pps) d.add(rate);
   for (const double aux : m.aux) d.add(aux);
   EXPECT_EQ(d.hex(), "af78cafd438828ea");
+}
+
+void add_flow_stats(Digest& d, const packetsim::FlowStats& s) {
+  d.add(static_cast<std::uint64_t>(s.data_sent));
+  d.add(static_cast<std::uint64_t>(s.retransmits));
+  d.add(static_cast<std::uint64_t>(s.delivered));
+  d.add(static_cast<std::uint64_t>(s.lost_marked));
+  d.add(static_cast<std::uint64_t>(s.rtos));
+  d.add(static_cast<std::uint64_t>(s.received));
+  d.add(s.srtt_s);
+  d.add(s.min_rtt_s);
+  d.add(s.jitter_ms);
+}
+
+void add_link_stats(Digest& d, const packetsim::LinkStats& s) {
+  d.add(static_cast<std::uint64_t>(s.arrived));
+  d.add(static_cast<std::uint64_t>(s.dropped));
+  d.add(static_cast<std::uint64_t>(s.marked));
+  d.add(static_cast<std::uint64_t>(s.served));
+  d.add(s.busy_time_s);
+  d.add(s.queue_time_pkts_s);
+  d.add(s.max_queue_pkts);
+}
+
+/// Every value a finished dumbbell exposes: each trace row, each flow's
+/// FlowStats, the bottleneck's LinkStats and the aggregate metrics.
+std::string packet_digest(const packetsim::DumbbellNet& net) {
+  Digest d;
+  const auto& trace = net.trace();
+  d.add(trace.sample_interval_s);
+  d.add(static_cast<std::uint64_t>(trace.rows.size()));
+  for (const auto& row : trace.rows) {
+    d.add(row.t);
+    for (const double rate : row.flow_rate_pps) d.add(rate);
+    for (const double srtt : row.flow_srtt_s) d.add(srtt);
+    d.add(row.queue_pkts);
+    d.add(row.loss_fraction);
+  }
+  for (std::size_t i = 0; i < net.num_flows(); ++i) {
+    add_flow_stats(d, net.flow(i).stats());
+  }
+  add_link_stats(d, net.bottleneck().stats());
+  const auto m = net.aggregate_metrics();
+  d.add(m.jain);
+  d.add(m.loss_pct);
+  d.add(m.occupancy_pct);
+  d.add(m.utilization_pct);
+  d.add(m.jitter_ms);
+  for (const double rate : m.mean_rate_pps) d.add(rate);
+  return d.hex();
+}
+
+std::int64_t total_rtos(const packetsim::DumbbellNet& net) {
+  std::int64_t rtos = 0;
+  for (std::size_t i = 0; i < net.num_flows(); ++i) {
+    rtos += net.flow(i).stats().rtos;
+  }
+  return rtos;
+}
+
+/// One paper-grid packet cell (N = 10, 1 BDP, 5 s), run in one call.
+std::unique_ptr<packetsim::DumbbellNet> run_packet_cell(
+    scenario::CcaKind a, scenario::CcaKind b, net::Discipline discipline) {
+  scenario::ExperimentSpec spec;
+  spec.mix = scenario::half_half(a, b, 10);
+  spec.discipline = discipline;
+  spec.buffer_bdp = 1.0;
+  auto setup = scenario::build_packet(spec);
+  setup.net->run(spec.duration_s);
+  return std::move(setup.net);
+}
+
+TEST(Golden, Bbrv1RenoDropTailPacketCell) {
+  const auto net = run_packet_cell(scenario::CcaKind::kBbrv1,
+                                   scenario::CcaKind::kReno,
+                                   net::Discipline::kDropTail);
+  EXPECT_GT(total_rtos(*net), 0) << "the RTO timer's firing path must run";
+  EXPECT_EQ(packet_digest(*net), "07997e951fc76176");
+}
+
+TEST(Golden, Bbrv1Bbrv2RedPacketCell) {
+  const auto net = run_packet_cell(scenario::CcaKind::kBbrv1,
+                                   scenario::CcaKind::kBbrv2,
+                                   net::Discipline::kRed);
+  EXPECT_GT(total_rtos(*net), 0) << "the RTO timer's firing path must run";
+  EXPECT_EQ(packet_digest(*net), "75085270f7035a79");
+}
+
+TEST(Golden, RedEcnPacketDumbbell) {
+  packetsim::DumbbellNet net(mbps_to_pps(100.0), 0.010, 260.0,
+                             packetsim::AqmKind::kRedEcn, 7);
+  net.add_flow(0.005, std::make_unique<packetsim::RenoCca>());
+  net.add_flow(0.006, std::make_unique<packetsim::CubicCca>());
+  net.add_flow(0.007, std::make_unique<packetsim::Bbr1Cca>(51));
+  net.add_flow(0.008, std::make_unique<packetsim::Bbr2Cca>(52));
+  net.run(3.0);
+  EXPECT_GT(net.bottleneck().stats().marked, 0);
+  EXPECT_GT(total_rtos(net), 0) << "the RTO timer's firing path must run";
+  EXPECT_EQ(packet_digest(net), "e27517b72c1fb34b");
+}
+
+TEST(Golden, ParkingLotPacketNet) {
+  // A long BBRv1 flow across three hops, one cross flow per hop; every
+  // flow is built through Flow's egress constructor.
+  packetsim::MultiHopNet lot(11);
+  std::vector<std::size_t> hops;
+  for (int h = 0; h < 3; ++h) {
+    hops.push_back(lot.add_link(mbps_to_pps(100.0), 0.005, 130.0,
+                                packetsim::AqmKind::kDropTail));
+  }
+  lot.add_flow(0.005, hops, std::make_unique<packetsim::Bbr1Cca>(100));
+  lot.add_flow(0.005, {hops[0]}, std::make_unique<packetsim::RenoCca>());
+  lot.add_flow(0.006, {hops[1]}, std::make_unique<packetsim::Bbr2Cca>(101));
+  lot.add_flow(0.007, {hops[2]}, std::make_unique<packetsim::CubicCca>());
+  lot.run(3.0);
+  Digest d;
+  for (std::size_t i = 0; i < lot.num_flows(); ++i) {
+    add_flow_stats(d, lot.flow(i).stats());
+  }
+  for (const std::size_t h : hops) add_link_stats(d, lot.link(h).stats());
+  for (const double rate : lot.mean_rates_pps()) d.add(rate);
+  d.add(lot.jain());
+  EXPECT_EQ(d.hex(), "9e6fbff1909c63a7");
 }
 
 /// A spec with every kind of codec field off its default: a labelled

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <memory>
 #include <vector>
 
 #include "common/require.h"
@@ -65,6 +67,62 @@ TEST(EventQueue, RejectsPastScheduling) {
   q.schedule_at(1.0, [] {});
   q.run_until(1.0);
   EXPECT_THROW(q.schedule_at(0.5, [] {}), PreconditionError);
+}
+
+TEST(EventQueueTimer, ReArmedLaterFiresOnceAtTheLastDeadline) {
+  EventQueue q;
+  std::vector<double> fired;
+  EventQueue::Timer timer(q, [&] { fired.push_back(q.now()); });
+  timer.arm(0.2);
+  timer.arm(0.3);
+  q.schedule_at(0.25, [&] { timer.arm(0.6); });
+  q.run_until(1.0);
+  EXPECT_EQ(fired, (std::vector<double>{0.6}));
+}
+
+TEST(EventQueueTimer, ReArmingLaterKeepsOneLiveEntry) {
+  EventQueue q;
+  std::vector<double> fired;
+  EventQueue::Timer timer(q, [&] { fired.push_back(q.now()); });
+  for (int k = 1; k <= 1000; ++k) timer.arm(0.001 * k);
+  q.run_until(2.0);
+  EXPECT_EQ(fired, (std::vector<double>{0.001 * 1000}));
+  EXPECT_LE(q.executed(), 2u) << "1000 re-arms must not queue 1000 entries";
+}
+
+TEST(EventQueueTimer, ReArmedEarlierFiresOnceAtTheEarlierTime) {
+  EventQueue q;
+  std::vector<double> fired;
+  EventQueue::Timer timer(q, [&] { fired.push_back(q.now()); });
+  timer.arm(0.8);
+  timer.arm(0.3);
+  q.run_until(1.0);
+  EXPECT_EQ(fired, (std::vector<double>{0.3}));
+}
+
+TEST(EventQueueTimer, TiesRunInTheSlotOfTheLastArm) {
+  // Whether the last arm moves the deadline later (a re-queue) or earlier
+  // (a new entry), the callback runs after the events queued before that
+  // arm and before the events queued after it, like a schedule_at there.
+  for (const double first_deadline : {0.2, 0.5, 0.8}) {
+    EventQueue q;
+    std::vector<int> order;
+    EventQueue::Timer timer(q, [&] { order.push_back(0); });
+    timer.arm(first_deadline);
+    q.schedule_at(0.5, [&] { order.push_back(-1); });
+    timer.arm(0.5);
+    q.schedule_at(0.5, [&] { order.push_back(1); });
+    q.run_until(1.0);
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1}))
+        << "first deadline " << first_deadline;
+  }
+}
+
+TEST(EventQueueTimer, RejectsArmingIntoThePast) {
+  EventQueue q;
+  EventQueue::Timer timer(q, [] {});
+  q.run_until(1.0);
+  EXPECT_THROW(timer.arm(0.5), PreconditionError);
 }
 
 TEST(DropTail, DropsOnlyWhenFull) {
@@ -263,6 +321,29 @@ class FixedWindowCca : public PacketCca {
   double cwnd_;
 };
 
+/// A fixed-window CCA that records when retransmission timeouts fire.
+class RtoRecordingCca : public FixedWindowCca {
+ public:
+  explicit RtoRecordingCca(std::vector<double>* rtos)
+      : FixedWindowCca(2.0), rtos_(rtos) {}
+  void on_rto(double now) override { rtos_->push_back(now); }
+
+ private:
+  std::vector<double>* rtos_;
+};
+
+TEST(Flow, RtoBacksOffExponentiallyUpToTheCap) {
+  // The link is too slow to serve even the SYN, so the handshake timer
+  // starts data at 1 s and nothing is ever acknowledged. Each timeout
+  // doubles the initial 1 s RTO until the backoff cap (2^6 = 64 s).
+  std::vector<double> rtos;
+  DumbbellNet net(1e-4, 0.010, 10.0, AqmKind::kDropTail, 7, 1.0);
+  net.add_flow(0.005, std::make_unique<RtoRecordingCca>(&rtos));
+  net.run(300.0);
+  EXPECT_EQ(rtos, (std::vector<double>{2, 4, 8, 16, 32, 64, 128, 192, 256}));
+  EXPECT_EQ(net.flow(0).stats().rtos, 9);
+}
+
 TEST(DumbbellNet, LosslessConservationWithFixedWindow) {
   // Window 20 ≪ buffer: no drops; every sent packet is delivered or in
   // flight at the end.
@@ -331,6 +412,22 @@ TEST(DumbbellNet, TraceRowsCoverTheRun) {
     EXPECT_GE(row.loss_fraction, 0.0);
     EXPECT_LE(row.loss_fraction, 1.0);
   }
+}
+
+TEST(DumbbellNet, SecondRunKeepsSampling) {
+  // run(1) then run(1) samples at the same times as one run(2).
+  auto row_times = [](std::initializer_list<double> runs) {
+    DumbbellNet net(1000.0, 0.010, 100.0, AqmKind::kDropTail, 7, 0.05);
+    net.add_flow(0.005, std::make_unique<RenoCca>());
+    for (const double duration : runs) net.run(duration);
+    std::vector<double> times;
+    for (const auto& row : net.trace().rows) times.push_back(row.t);
+    return times;
+  };
+  const auto once = row_times({2.0});
+  const auto split = row_times({1.0, 1.0});
+  ASSERT_GT(once.size(), 30u);
+  EXPECT_EQ(split, once);
 }
 
 TEST(DumbbellNet, AggregateMetricsSanity) {

@@ -562,6 +562,24 @@ TEST(Batch, FluidBatchingIsByteInvariantAcrossThreadsAndShards) {
   }
 }
 
+TEST(Batch, MultiCellUnitsRunFirst) {
+  // tiny_grid's four fluid cells form one unit on one thread; it must run
+  // before the four packet singletons, so the first progress report
+  // covers the whole unit.
+  const auto tasks = tiny_grid().expand(tiny_base(), 42);
+  std::vector<std::size_t> done;
+  SweepOptions options;
+  options.threads = 1;
+  options.progress = [&done](std::size_t completed, std::size_t) {
+    done.push_back(completed);
+  };
+  run_tasks(tasks, options);
+  ASSERT_FALSE(done.empty());
+  EXPECT_EQ(done.front(), 4u)
+      << "the first unit to finish must be the 4-cell fluid unit";
+  EXPECT_EQ(done.back(), tasks.size());
+}
+
 TEST(Batch, WarmCellsArePeeledFromBatches) {
   const auto tasks = tiny_grid().expand(tiny_base(), 42);
   const auto dir =
