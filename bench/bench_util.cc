@@ -152,7 +152,7 @@ void run_trace_figure(const std::string& title, scenario::CcaKind kind,
   std::printf("%s", banner(title + " — " + net::to_string(discipline)).c_str());
 
   // Model side.
-  auto fluid = scenario::build_fluid(spec);
+  auto fluid = scenario::build_fluid(spec, core::Recording::kFullTrace);
   fluid.sim->run(duration_s);
   const auto& trace = fluid.sim->trace();
   const auto& topo = fluid.sim->topology();

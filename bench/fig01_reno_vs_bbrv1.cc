@@ -24,7 +24,7 @@ int main() {
 
   std::printf("%s", banner("Fig. 1 — Reno vs BBRv1 sending rates").c_str());
 
-  auto fluid = scenario::build_fluid(spec);
+  auto fluid = scenario::build_fluid(spec, core::Recording::kFullTrace);
   fluid.sim->run(spec.duration_s);
   const auto& trace = fluid.sim->trace();
   const auto bbr = metrics::rate_percent(trace, 0, spec.capacity_pps);

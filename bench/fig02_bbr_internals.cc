@@ -25,7 +25,7 @@ int main() {
     spec.duration_s = 1.0;
     spec.fluid.step_s = 10e-6;
 
-    auto fluid = scenario::build_fluid(spec);
+    auto fluid = scenario::build_fluid(spec, core::Recording::kFullTrace);
     fluid.sim->run(spec.duration_s);
     const auto& trace = fluid.sim->trace();
     const double cap = spec.capacity_pps;
@@ -57,7 +57,7 @@ int main() {
     spec.duration_s = 0.5;
     spec.fluid.step_s = 10e-6;
 
-    auto fluid = scenario::build_fluid(spec);
+    auto fluid = scenario::build_fluid(spec, core::Recording::kFullTrace);
     fluid.sim->run(spec.duration_s);
     const auto& trace = fluid.sim->trace();
     const double cap = spec.capacity_pps;

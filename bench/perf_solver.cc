@@ -29,14 +29,16 @@ void BM_FluidSimulation(benchmark::State& state) {
                                  scenario::CcaKind::kBbrv2,
                                  std::max<std::size_t>(2, flows));
   spec.fluid.step_s = step_us * 1e-6;
-  spec.fluid.record_interval_s = 1.0;  // tracing off the hot path
 
+  // What a sweep cell runs: scenario::build_fluid's default recording (the
+  // RTT series only) at the default record interval, for 1 s, so that the
+  // start-up steps (t below a path delay) are a small share.
   double sim_seconds = 0.0;
   for (auto _ : state) {
     auto setup = scenario::build_fluid(spec);
-    setup.sim->run(0.25);
+    setup.sim->run(1.0);
     benchmark::DoNotOptimize(setup.sim->queue_pkts(setup.bottleneck_link));
-    sim_seconds += 0.25;
+    sim_seconds += 1.0;
   }
   const double steps =
       sim_seconds / spec.fluid.step_s * static_cast<double>(flows);

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   spec.buffer_bdp = 1.0;
   spec.duration_s = duration;
 
-  auto fluid = scenario::build_fluid(spec);
+  auto fluid = scenario::build_fluid(spec, core::Recording::kFullTrace);
   fluid.sim->run(duration);
   auto packet = scenario::build_packet(spec);
   packet.net->run(duration);

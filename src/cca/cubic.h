@@ -30,6 +30,8 @@ class CubicFluid : public core::FluidCca {
   core::CcaTelemetry telemetry() const override;
   std::string name() const override { return "CUBIC"; }
 
+  /// max(1, w(s)) past slow start: bit for bit
+  /// max(1, cubic_window(time_since_loss_s(), window_at_loss_pkts())).
   double window_pkts() const;
   double time_since_loss_s() const { return since_loss_; }
   double window_at_loss_pkts() const { return window_at_loss_; }
@@ -40,9 +42,13 @@ class CubicFluid : public core::FluidCca {
   static constexpr double kBeta = 0.7;
 
  private:
+  /// Sets w^max and, when its value changes, the K that goes with it.
+  void set_window_at_loss(double w);
+
   double initial_window_;
   double since_loss_ = 0.0;      // s_i
   double window_at_loss_ = 1.0;  // w^max_i
+  double k_ = 0.0;               // K of window_at_loss_ (Eq. 41)
   bool slow_start_ = true;
   double ss_window_ = 1.0;       // window during fluid slow start
   core::AgentContext ctx_;

@@ -31,6 +31,7 @@ void Bbrv2Fluid::init(const AgentContext& ctx) {
   full_bw_ = 0.0;
   full_bw_count_ = 0;
   round_clock_ = 0.0;
+  loss_sigmoid_arg_ = std::numeric_limits<double>::quiet_NaN();
   max_delivery_ = 0.0;
   prev_max_ = btl_estimate_;
   inflight_ = std::max(0.0, init_.inflight_pkts);
@@ -143,8 +144,7 @@ void Bbrv2Fluid::advance(const AgentInputs& in, double current_rate,
     if (!cruising_ && !probe_down_ && cycle_clock_ > min_rtt_) {
       const double trigger =
           std::min(1.0, ode::sigmoid(inflight_ - 1.25 * bdp, cfg.k_vol) +
-                            ode::sigmoid(in.loss_delayed - cfg.bbr2_loss_thresh,
-                                         cfg.k_prob));
+                            loss_sigmoid(in.loss_delayed));
       if (trigger > 0.5) probe_down_ = true;
     }
 
@@ -165,13 +165,17 @@ void Bbrv2Fluid::advance(const AgentInputs& in, double current_rate,
         (cruising_ ? 0.0 : 1.0) *
         ode::sigmoid(cycle_clock_ - min_rtt_, cfg.k_time) *
         ode::sigmoid(inflight_ - inflight_hi_, cfg.k_vol);
-    const double exponent = std::min(cycle_clock_ / std::max(min_rtt_, 1e-6),
-                                     30.0);
-    const double growth =
-        growth_gate * std::exp2(exponent) * cfg.inflight_hi_growth_pps;
-    const double decrease =
-        ode::sigmoid(in.loss_delayed - cfg.bbr2_loss_thresh, cfg.k_prob) *
-        cfg.bbr2_beta / std::max(min_rtt_, 1e-6) * inflight_hi_;
+    // The gate is exactly 0 while cruising or once the inflight sigmoid
+    // saturates. 2^{t/τ} is then finite (its exponent is NaN only when the
+    // gate is), so the product is gate·g with or without the exp2 call.
+    double growth = growth_gate * cfg.inflight_hi_growth_pps;
+    if (growth_gate != 0.0) {
+      const double exponent =
+          std::min(cycle_clock_ / std::max(min_rtt_, 1e-6), 30.0);
+      growth = growth_gate * std::exp2(exponent) * cfg.inflight_hi_growth_pps;
+    }
+    const double decrease = loss_sigmoid(in.loss_delayed) * cfg.bbr2_beta /
+                            std::max(min_rtt_, 1e-6) * inflight_hi_;
     inflight_hi_ = std::max(1.0, inflight_hi_ + h * (growth - decrease));
 
     // w^lo dynamics (Eq. 30): pinned to w⁻ outside cruise ("unset"); in
@@ -232,6 +236,15 @@ void Bbrv2Fluid::advance_startup(const AgentInputs& in, double h) {
     cruising_ = true;  // the pipe is freshly drained
     inflight_lo_ = drain_target_pkts();
   }
+}
+
+double Bbrv2Fluid::loss_sigmoid(double loss_delayed) {
+  const double arg = loss_delayed - ctx_.config->bbr2_loss_thresh;
+  if (!(arg == loss_sigmoid_arg_)) {
+    loss_sigmoid_arg_ = arg;
+    loss_sigmoid_ = ode::sigmoid(arg, ctx_.config->k_prob);
+  }
+  return loss_sigmoid_;
 }
 
 CcaTelemetry Bbrv2Fluid::telemetry() const {

@@ -14,6 +14,8 @@
 // ProbeRTT window is half the estimated BDP (Eq. 32).
 #pragma once
 
+#include <limits>
+
 #include "core/bbrv1.h"  // BbrInit
 #include "core/fluid_cca.h"
 
@@ -58,6 +60,10 @@ class Bbrv2Fluid : public FluidCca {
   /// STARTUP/DRAIN progression (extension; DESIGN.md §8). Exiting STARTUP
   /// on excessive loss records w^hi = v — the Insight-5 mechanism.
   void advance_startup(const AgentInputs& in, double h);
+  /// σ(p − 2 %), the excessive-loss sigmoid of Eqs. (26) and (29), for the
+  /// delayed path loss p. Both evaluate it on the same argument, which
+  /// mostly repeats from step to step (p = 0), so it is memoized on it.
+  double loss_sigmoid(double loss_delayed);
 
   BbrInit init_;
   AgentContext ctx_;
@@ -80,6 +86,11 @@ class Bbrv2Fluid : public FluidCca {
   double full_bw_ = 0.0;
   int full_bw_count_ = 0;
   double round_clock_ = 0.0;
+
+  // One-entry memo of loss_sigmoid. The empty key is NaN, which never
+  // compares equal, so a NaN argument is recomputed too.
+  double loss_sigmoid_arg_ = std::numeric_limits<double>::quiet_NaN();
+  double loss_sigmoid_ = 0.0;
 };
 
 }  // namespace bbrmodel::core

@@ -9,10 +9,11 @@ namespace bbrmodel::core {
 
 FluidSimulation::FluidSimulation(net::Topology topology,
                                  std::vector<std::unique_ptr<FluidCca>> agents,
-                                 FluidConfig config)
+                                 FluidConfig config, Recording recording)
     : topology_(std::move(topology)),
       agents_(std::move(agents)),
-      config_(config) {
+      config_(config),
+      recording_(recording) {
   BBRM_REQUIRE_MSG(agents_.size() == topology_.num_agents(),
                    "one CCA per topology path required");
   BBRM_REQUIRE_MSG(config_.step_s > 0.0, "step must be positive");
@@ -100,6 +101,8 @@ FluidSimulation::FluidSimulation(net::Topology topology,
                                              config_.step_s)));
   trace_.sample_interval_s =
       static_cast<double>(steps_per_sample_) * config_.step_s;
+  rtt_.sample_interval_s = trace_.sample_interval_s;
+  rtt_.num_agents = n_agents;
 }
 
 std::uint32_t FluidSimulation::tap_of(double delay) {
@@ -115,32 +118,55 @@ void FluidSimulation::run(double duration) {
   BBRM_REQUIRE_MSG(duration >= 0.0, "duration must be non-negative");
   const auto steps =
       static_cast<std::size_t>(std::llround(duration / config_.step_s));
-  trace_.samples.reserve(trace_.samples.size() + steps / steps_per_sample_ +
-                         1);
+  const std::size_t samples = steps / steps_per_sample_ + 1;
+  rtt_.rtt_s.reserve(rtt_.rtt_s.size() + samples * agents_.size());
+  if (recording_ == Recording::kFullTrace) {
+    trace_.samples.reserve(trace_.samples.size() + samples);
+  }
   for (std::size_t s = 0; s < steps; ++s) step();
 }
 
-// The split interpolate_at makes of t − delay, once per distinct delay: a
-// tap is ok when t − delay ≥ 0 and both samples are between 2 and hcap_
-// rows back, the only case in which interpolate_at clamps nothing.
+// The split interpolate_at makes of t − delay, once per distinct delay. A
+// tap is ok (served from the matrix) when something was recorded, t − delay
+// ≥ 0 and the older sample is at most hcap_ rows back: lag ≥ 2 puts both
+// samples on rows inside the window, and lag ≤ 1 (a read at or past the
+// newest sample, as on every path's first link) clamps both to the newest
+// row, just as interpolate_at does. So only start-up reads (t < delay) and
+// reads past the window take the slow path. The arrays are read through
+// local pointers because the stores through them could alias the members.
 void FluidSimulation::compute_taps(double t) {
   const double h = config_.step_s;
   const auto total = static_cast<long long>(step_count_);
-  const auto hcap = static_cast<long long>(hcap_);
-  for (std::size_t j = 0; j < tap_delay_.size(); ++j) {
-    const double td = t - tap_delay_[j];
+  const std::size_t rows = hcap_;
+  const auto hcap = static_cast<long long>(rows);
+  const auto head = static_cast<long long>(head_row_);
+  const std::size_t n_sig = n_sig_;
+  const std::size_t newest = (head_row_ == 0 ? rows : head_row_) - 1;
+  const std::size_t n_taps = tap_delay_.size();
+  const double* delay = tap_delay_.data();
+  double* frac = tap_frac_.data();
+  std::size_t* lo = tap_lo_.data();
+  std::size_t* hi = tap_hi_.data();
+  unsigned char* ok = tap_ok_.data();
+  for (std::size_t j = 0; j < n_taps; ++j) {
+    const double td = t - delay[j];
     const double pos = td / h;
-    const double flo = std::floor(pos);
-    tap_frac_[j] = pos - flo;
-    const long long lag = total - static_cast<long long>(flo);
-    tap_ok_[j] = !(td < 0.0) && lag >= 2 && lag <= hcap;
-    if (tap_ok_[j]) {
-      long long row = static_cast<long long>(head_row_) - lag;
-      if (row < 0) row += hcap;
-      const std::size_t lo = static_cast<std::size_t>(row);
-      tap_lo_[j] = lo * n_sig_;
-      tap_hi_[j] = (lo + 1 == hcap_ ? 0 : lo + 1) * n_sig_;
+    // Where td ≥ 0, the only case in which a tap is ok, floor is truncation.
+    const auto k = static_cast<long long>(pos);
+    frac[j] = pos - static_cast<double>(k);
+    const long long lag = total - k;
+    const bool served = total > 0 && !(td < 0.0) && lag <= hcap;
+    ok[j] = served;
+    if (!served) continue;
+    if (lag <= 1) {
+      lo[j] = hi[j] = newest * n_sig;
+      continue;
     }
+    long long row = head - lag;
+    if (row < 0) row += hcap;
+    const auto r = static_cast<std::size_t>(row);
+    lo[j] = r * n_sig;
+    hi[j] = (r + 1 == rows ? 0 : r + 1) * n_sig;
   }
 }
 
@@ -273,6 +299,10 @@ void FluidSimulation::step() {
 }
 
 void FluidSimulation::record_sample(double t) {
+  for (std::size_t i = 0; i < agents_.size(); ++i) {
+    rtt_.rtt_s.push_back(inputs_[i].rtt);
+  }
+  if (recording_ != Recording::kFullTrace) return;
   FluidSample& sample = trace_.samples.emplace_back();
   sample.t = t;
   sample.agents.resize(agents_.size());
@@ -310,6 +340,12 @@ double FluidSimulation::delivered_pkts(std::size_t agent) const {
 const LinkAccounting& FluidSimulation::link_accounting(std::size_t link) const {
   BBRM_REQUIRE(link < link_acct_.size());
   return link_acct_[link];
+}
+
+const FluidTrace& FluidSimulation::trace() const {
+  BBRM_REQUIRE_MSG(recording_ == Recording::kFullTrace,
+                   "trace() needs Recording::kFullTrace");
+  return trace_;
 }
 
 const FluidCca& FluidSimulation::cca(std::size_t agent) const {

@@ -9,7 +9,8 @@
 // flattened into index arrays, every fixed-horizon signal shares one
 // time-major history matrix (one row per grid time), the delayed reads at
 // constant delays go through a per-step tap table, and stepping allocates
-// nothing except the trace rows it records.
+// nothing except the samples it records. A sweep cell records only the
+// per-agent RTT series its metrics read; the full trace is opt-in.
 #pragma once
 
 #include <cstdint>
@@ -33,13 +34,22 @@ struct LinkAccounting {
   double queue_time_pkts_s = 0.0;  ///< ∫ q dt (time-average queue = this / T)
 };
 
+/// What a run records at each record tick (config.record_interval_s).
+/// Every run keeps each agent's RTT, the one sampled value the aggregate
+/// metrics read (jitter). kFullTrace also keeps the FluidTrace: every rate,
+/// CCA variable and link state, about 1 kB per tick for ten flows. The
+/// owner of a simulation chooses; it is not part of FluidConfig, so it
+/// never enters a spec or a cache key.
+enum class Recording { kRttOnly, kFullTrace };
+
 /// Coupled network + CCA fluid simulation.
 class FluidSimulation {
  public:
   /// One CCA per agent; agents_.size() must equal topology.num_agents().
   FluidSimulation(net::Topology topology,
                   std::vector<std::unique_ptr<FluidCca>> agents,
-                  FluidConfig config = {});
+                  FluidConfig config = {},
+                  Recording recording = Recording::kRttOnly);
 
   /// Every agent keeps a pointer to this simulation's config
   /// (AgentContext::config), so the simulation stays where it was built.
@@ -70,8 +80,14 @@ class FluidSimulation {
 
   const LinkAccounting& link_accounting(std::size_t link) const;
 
-  /// The recorded trace (sampled every config.record_interval_s).
-  const FluidTrace& trace() const { return trace_; }
+  /// The recorded trace (sampled every config.record_interval_s). Throws
+  /// PreconditionError unless the simulation was built with
+  /// Recording::kFullTrace, so a reader of a lean run fails, not loops over
+  /// nothing.
+  const FluidTrace& trace() const;
+
+  /// Each agent's RTT at every record tick, whatever the Recording.
+  const RttSeries& rtt_series() const { return rtt_; }
 
   /// The CCA driving an agent (for test inspection).
   const FluidCca& cca(std::size_t agent) const;
@@ -105,8 +121,9 @@ class FluidSimulation {
   // Constant-delay taps: every delayed read except the inflight window
   // uses a delay fixed at construction, and distinct delays are few. Each
   // step splits t − delay into two history rows and a fraction once per
-  // distinct delay; a tap is "ok" when both rows lie inside the retained
-  // window, so a read is two loads and a lerp.
+  // distinct delay; a tap is "ok" when both rows are recorded rows of the
+  // retained window (or both clamp to the newest), so a read is two loads
+  // and a lerp.
   std::vector<double> tap_delay_;
   std::vector<double> tap_frac_;
   std::vector<std::size_t> tap_lo_;  // element offset of the older row
@@ -137,6 +154,8 @@ class FluidSimulation {
   std::vector<double> arrivals_, losses_, qdelay_, rates_;
   std::vector<AgentInputs> inputs_;
 
+  Recording recording_;
+  RttSeries rtt_;
   FluidTrace trace_;
   std::size_t step_count_ = 0;
   std::size_t steps_per_sample_ = 1;

@@ -1,11 +1,14 @@
 // Trace recording for fluid simulations.
 //
-// The engine samples agent and link state on a fixed interval; the metrics
-// module and the figure benches consume these traces (normalized exactly as
-// the paper's figures: % of link rate, % of buffer, % of traffic, relative
+// The engine samples agent and link state on a fixed interval. Every run
+// keeps each agent's RTT (RttSeries, which the jitter metric reads); a run
+// asked for the full FluidTrace also keeps every rate, CCA variable and
+// link state, which the figure benches consume (normalized exactly as the
+// paper's figures: % of link rate, % of buffer, % of traffic, relative
 // excess delay, % of path BDP).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "core/fluid_cca.h"
@@ -41,6 +44,22 @@ struct FluidTrace {
 
   bool empty() const { return samples.empty(); }
   std::size_t size() const { return samples.size(); }
+};
+
+/// Each agent's RTT τ_i(t) at every record tick, row-major: row k holds
+/// agents 0..N−1 at t = k·sample_interval_s, the values AgentSample::rtt_s
+/// of trace row k would hold.
+struct RttSeries {
+  double sample_interval_s = 0.0;
+  std::size_t num_agents = 0;
+  std::vector<double> rtt_s;
+
+  std::size_t rows() const {
+    return num_agents == 0 ? 0 : rtt_s.size() / num_agents;
+  }
+  double at(std::size_t row, std::size_t agent) const {
+    return rtt_s[row * num_agents + agent];
+  }
 };
 
 }  // namespace bbrmodel::core

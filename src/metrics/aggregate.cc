@@ -9,16 +9,20 @@
 namespace bbrmodel::metrics {
 namespace {
 
-/// Linear interpolation of an agent's RTT from the recorded trace.
-double rtt_at(const core::FluidTrace& trace, std::size_t agent, double t) {
-  const std::size_t n = trace.samples.size();
-  const double pos = t / trace.sample_interval_s;
+/// g in the paper's jitter recipe (§4.3.5): each agent's RTT is sampled
+/// every g·N/C seconds to mimic per-packet sampling.
+constexpr double kJitterVirtualPacketPkts = 1.0;
+
+/// Linear interpolation of an agent's recorded RTT.
+double rtt_at(const core::RttSeries& rtt, std::size_t agent, double t) {
+  const std::size_t n = rtt.rows();
+  const double pos = t / rtt.sample_interval_s;
   const auto lo = static_cast<std::size_t>(
       std::clamp(std::floor(pos), 0.0, static_cast<double>(n - 1)));
   const std::size_t hi = std::min(lo + 1, n - 1);
   const double frac = std::clamp(pos - static_cast<double>(lo), 0.0, 1.0);
-  const double a = trace.samples[lo].agents[agent].rtt_s;
-  const double b = trace.samples[hi].agents[agent].rtt_s;
+  const double a = rtt.at(lo, agent);
+  const double b = rtt.at(hi, agent);
   return a + (b - a) * frac;
 }
 
@@ -34,8 +38,7 @@ double jitter_of_series_ms(const std::vector<double>& rtt_s) {
 }
 
 AggregateMetrics evaluate_fluid(const core::FluidSimulation& sim,
-                                std::size_t bottleneck_link,
-                                double virtual_packet_pkts) {
+                                std::size_t bottleneck_link) {
   const double duration = sim.now();
   BBRM_REQUIRE_MSG(duration > 0.0, "simulation has not run");
   const std::size_t n_agents = sim.num_agents();
@@ -74,9 +77,9 @@ AggregateMetrics evaluate_fluid(const core::FluidSimulation& sim,
 
   // Jitter (§4.3.5): sample each agent's RTT at the virtual packet rate
   // g·N/C and average the per-agent jitters.
-  const core::FluidTrace& trace = sim.trace();
-  if (trace.samples.size() >= 2) {
-    const double spacing = virtual_packet_pkts *
+  const core::RttSeries& rtt = sim.rtt_series();
+  if (rtt.rows() >= 2) {
+    const double spacing = kJitterVirtualPacketPkts *
                            static_cast<double>(n_agents) /
                            bottleneck.capacity_pps;
     RunningStats per_agent;
@@ -84,7 +87,7 @@ AggregateMetrics evaluate_fluid(const core::FluidSimulation& sim,
     for (std::size_t i = 0; i < n_agents; ++i) {
       series.clear();
       for (double t = 0.0; t <= duration; t += spacing) {
-        series.push_back(rtt_at(trace, i, t));
+        series.push_back(rtt_at(rtt, i, t));
       }
       per_agent.add(jitter_of_series_ms(series));
     }

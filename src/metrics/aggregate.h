@@ -30,15 +30,15 @@ struct AggregateMetrics {
   std::vector<double> aux;
 };
 
-/// Evaluate a finished fluid simulation over its full runtime.
+/// Evaluate a finished fluid simulation over its full runtime. Reads the
+/// cumulative accounting and the RTT series, which every simulation
+/// records, so it needs no full trace. Jitter samples each agent's RTT
+/// every g·N/C seconds with g = 1 packet (§4.3.5).
 ///
 /// @param sim              the simulation (must have run for > 0 s)
 /// @param bottleneck_link  link used for occupancy and utilization
-/// @param virtual_packet_pkts  g in the paper's jitter recipe (§4.3.5): the
-///        RTT is sampled every g·N/C seconds to mimic per-packet sampling.
 AggregateMetrics evaluate_fluid(const core::FluidSimulation& sim,
-                                std::size_t bottleneck_link,
-                                double virtual_packet_pkts = 1.0);
+                                std::size_t bottleneck_link);
 
 /// Jitter of one RTT series sampled at a fixed spacing (helper; exposed for
 /// tests). Returns mean |τ_{k+1} − τ_k| in milliseconds.

@@ -122,7 +122,8 @@ double mean_rtt_s(const ExperimentSpec& spec) {
 
 }  // namespace
 
-FluidSetup build_fluid(const ExperimentSpec& spec) {
+FluidSetup build_fluid(const ExperimentSpec& spec,
+                       core::Recording recording) {
   const auto ds = dumbbell_spec(spec);
   auto dumbbell = net::make_dumbbell(ds);
 
@@ -138,7 +139,7 @@ FluidSetup build_fluid(const ExperimentSpec& spec) {
   setup.bottleneck_link = dumbbell.bottleneck_link;
   setup.bottleneck_bdp_pkts = dumbbell.bottleneck_bdp_pkts;
   setup.sim = std::make_unique<core::FluidSimulation>(
-      std::move(dumbbell.topology), std::move(agents), spec.fluid);
+      std::move(dumbbell.topology), std::move(agents), spec.fluid, recording);
   return setup;
 }
 

@@ -67,13 +67,16 @@ struct ExperimentSpec {
   std::function<core::BbrInit(std::size_t flow)> bbr_init;
 };
 
-/// Fluid ("Model") side of the experiment, ready to run.
+/// Fluid ("Model") side of the experiment, ready to run. It records what
+/// `recording` asks for: the RTT series evaluate_fluid reads, or the full
+/// trace too (figures and golden traces).
 struct FluidSetup {
   std::unique_ptr<core::FluidSimulation> sim;
   std::size_t bottleneck_link = 0;
   double bottleneck_bdp_pkts = 0.0;
 };
-FluidSetup build_fluid(const ExperimentSpec& spec);
+FluidSetup build_fluid(const ExperimentSpec& spec,
+                       core::Recording recording = core::Recording::kRttOnly);
 
 /// Packet ("Experiment") side of the experiment, ready to run.
 struct PacketSetup {
@@ -82,7 +85,8 @@ struct PacketSetup {
 };
 PacketSetup build_packet(const ExperimentSpec& spec);
 
-/// Run the fluid side and return the paper's five aggregate metrics.
+/// Run the fluid side and return the paper's five aggregate metrics. The
+/// one fluid path sweeps and queue workers use; it records no full trace.
 metrics::AggregateMetrics run_fluid(const ExperimentSpec& spec);
 
 /// Run several fluid experiments, one after another, and return one

@@ -1,6 +1,7 @@
 // Unit tests for the loss-based fluid CCAs (paper Appendix B).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "cca/cubic.h"
@@ -209,6 +210,38 @@ TEST(CubicFluid, WindowStaysPositive) {
     cubic.advance(make_inputs(0.03, 0.8, 5000.0), 5000.0, 1e-3);
   }
   EXPECT_GE(cubic.window_pkts(), 1.0);
+}
+
+TEST(CubicFluid, WindowIsTheGrowthFunctionAfterEveryStep) {
+  // window_pkts() reuses K = ∛(w_max·(1 − β)/c) until w_max changes. After
+  // every step it must still equal the growth function of the current
+  // (s, w_max), bit for bit: through slow start, the hand-over, a loss
+  // epoch (w_max moves every step) and loss-free growth (it stays put).
+  const auto cfg = default_config();
+  CubicFluid cubic(10.0);
+  cubic.init(make_ctx(&cfg));
+  const double rtt = 0.03;
+  const double h = 1e-4;
+  int slow_start_steps = 0;
+  int w_max_moves = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const double loss = step >= 1000 && step < 1300 ? 0.05 : 0.0;
+    const double rate = cubic.window_pkts() / rtt;
+    const double w_max_before = cubic.window_at_loss_pkts();
+    cubic.advance(make_inputs(rtt, loss, rate), rate, h);
+    if (cubic.in_slow_start()) {
+      ++slow_start_steps;
+      continue;
+    }
+    if (cubic.window_at_loss_pkts() != w_max_before) ++w_max_moves;
+    ASSERT_EQ(cubic.window_pkts(),
+              std::max(1.0, cubic_window(cubic.time_since_loss_s(),
+                                         cubic.window_at_loss_pkts())))
+        << "step " << step;
+  }
+  EXPECT_EQ(slow_start_steps, 1000);
+  EXPECT_GT(w_max_moves, 100);  // the loss epoch moved w_max
+  EXPECT_GT(cubic.time_since_loss_s(), 0.2);  // then it grew loss-free
 }
 
 TEST(CubicFluid, TelemetryReportsWindow) {

@@ -49,17 +49,19 @@ TEST(Engine, RequiresMatchingAgentsAndPaths) {
 }
 
 TEST(Engine, RunZeroIsNoOp) {
-  auto setup = scenario::build_fluid(base_spec(CcaKind::kReno, 1, 1.0));
+  auto setup = scenario::build_fluid(base_spec(CcaKind::kReno, 1, 1.0),
+                                     core::Recording::kFullTrace);
   setup.sim->run(0.0);
   EXPECT_DOUBLE_EQ(setup.sim->now(), 0.0);
   EXPECT_TRUE(setup.sim->trace().empty());
+  EXPECT_TRUE(setup.sim->rtt_series().rtt_s.empty());
 }
 
 TEST(Engine, TraceSampledAtConfiguredInterval) {
   auto spec = base_spec(CcaKind::kReno, 2, 1.0);
   spec.fluid.record_interval_s = 0.01;
   spec.duration_s = 1.0;
-  auto setup = scenario::build_fluid(spec);
+  auto setup = scenario::build_fluid(spec, core::Recording::kFullTrace);
   setup.sim->run(1.0);
   const auto& trace = setup.sim->trace();
   EXPECT_NEAR(trace.sample_interval_s, 0.01, 1e-9);
@@ -68,6 +70,38 @@ TEST(Engine, TraceSampledAtConfiguredInterval) {
   EXPECT_EQ(trace.samples.front().agents.size(), 2u);
   EXPECT_EQ(trace.samples.front().links.size(),
             setup.sim->topology().num_links());
+}
+
+TEST(Engine, LeanRunRecordsOneRttRowPerRecordTick) {
+  auto spec = base_spec(CcaKind::kBbrv1, 3, 1.0);
+  auto lean = scenario::build_fluid(spec);
+  lean.sim->run(0.5);
+  EXPECT_THROW(lean.sim->trace(), PreconditionError);
+  const core::RttSeries& rtt = lean.sim->rtt_series();
+  // 10,000 steps of 50 µs, one record tick every 20: t = 0, 1, ..., 499 ms.
+  EXPECT_EQ(rtt.num_agents, 3u);
+  EXPECT_EQ(rtt.rows(), 500u);
+  EXPECT_EQ(rtt.rtt_s.size(), 3u * 500u);
+
+  // The series is the RTT column of the full trace, row for row.
+  auto full = scenario::build_fluid(spec, core::Recording::kFullTrace);
+  full.sim->run(0.5);
+  const auto& trace = full.sim->trace();
+  EXPECT_EQ(rtt.sample_interval_s, trace.sample_interval_s);
+  ASSERT_EQ(trace.size(), rtt.rows());
+  for (std::size_t k = 0; k < trace.size(); ++k) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      ASSERT_EQ(rtt.at(k, i), trace.samples[k].agents[i].rtt_s)
+          << "row " << k << ", agent " << i;
+    }
+  }
+  EXPECT_EQ(full.sim->rtt_series().rtt_s, rtt.rtt_s);
+
+  // Split runs record the same series as one run.
+  auto split = scenario::build_fluid(spec);
+  split.sim->run(0.2);
+  split.sim->run(0.3);
+  EXPECT_EQ(split.sim->rtt_series().rtt_s, rtt.rtt_s);
 }
 
 TEST(Engine, SingleBbrv1ConvergesToLinkCapacity) {
@@ -109,7 +143,8 @@ TEST(Engine, DeliveryRateNearCapacityWithQueue) {
   // With a standing queue the summed delivery rates track the service rate.
   // Per-agent shares are measured at per-agent delayed instants (Eq. 17), so
   // the instantaneous sum can transiently exceed C — but never by much.
-  auto setup = scenario::build_fluid(base_spec(CcaKind::kBbrv1, 2, 1.0));
+  auto setup = scenario::build_fluid(
+      base_spec(CcaKind::kBbrv1, 2, 1.0), core::Recording::kFullTrace);
   setup.sim->run(3.0);
   const double cap = mbps_to_pps(100.0);
   for (const auto& s : setup.sim->trace().samples) {
@@ -174,7 +209,7 @@ TEST_P(EngineInvariantTest, StateStaysPhysical) {
   spec.duration_s = 2.0;
   spec.fluid.step_s = 100e-6;  // coarse but stable; keeps the sweep fast
 
-  auto setup = scenario::build_fluid(spec);
+  auto setup = scenario::build_fluid(spec, core::Recording::kFullTrace);
   setup.sim->run(spec.duration_s);
 
   const double cap = spec.capacity_pps;
@@ -209,7 +244,7 @@ TEST(Engine, Bbrv2EntersProbeRttUnderDropTail) {
   auto spec = base_spec(CcaKind::kBbrv2, 1, 1.0);
   spec.duration_s = 11.0;
   spec.fluid.step_s = 100e-6;
-  auto setup = scenario::build_fluid(spec);
+  auto setup = scenario::build_fluid(spec, core::Recording::kFullTrace);
   setup.sim->run(spec.duration_s);
   bool saw_probe_rtt = false;
   for (const auto& s : setup.sim->trace().samples) {
@@ -246,7 +281,7 @@ TEST(Engine, LiteralEq19InflightStillBounded) {
   auto spec = base_spec(CcaKind::kBbrv2, 2, 1.0);
   spec.fluid.literal_eq19 = true;
   spec.duration_s = 3.0;
-  auto setup = scenario::build_fluid(spec);
+  auto setup = scenario::build_fluid(spec, core::Recording::kFullTrace);
   setup.sim->run(spec.duration_s);
   for (const auto& s : setup.sim->trace().samples) {
     for (const auto& a : s.agents) {
@@ -291,7 +326,8 @@ TEST(Scenario, FactoriesProduceAllKinds) {
 }
 
 TEST(Engine, RttIncludesQueueingDelay) {
-  auto setup = scenario::build_fluid(base_spec(CcaKind::kBbrv1, 4, 2.0));
+  auto setup = scenario::build_fluid(
+      base_spec(CcaKind::kBbrv1, 4, 2.0), core::Recording::kFullTrace);
   setup.sim->run(3.0);
   const auto& topo = setup.sim->topology();
   const double cap = topo.link(setup.bottleneck_link).capacity_pps;

@@ -143,7 +143,7 @@ std::string dumbbell_digest(scenario::CcaKind a, scenario::CcaKind b,
   spec.mix = scenario::half_half(a, b, 4);
   spec.discipline = discipline;
   spec.buffer_bdp = buffer_bdp;
-  auto setup = scenario::build_fluid(spec);
+  auto setup = scenario::build_fluid(spec, core::Recording::kFullTrace);
   run_split(*setup.sim);
   return simulation_digest(*setup.sim);
 }
@@ -221,7 +221,8 @@ TEST(Golden, ThreeHopParkingLotTrace) {
         scenario::CcaKind::kCubic, scenario::CcaKind::kReno}) {
     agents.push_back(scenario::make_fluid_cca(kind));
   }
-  core::FluidSimulation sim(lot.topology, std::move(agents));
+  core::FluidSimulation sim(lot.topology, std::move(agents), {},
+                            core::Recording::kFullTrace);
   run_split(sim);
   EXPECT_EQ(simulation_digest(sim), "9f4e868c71af7a97");
 }
@@ -247,6 +248,89 @@ TEST(Golden, ParkingLotRunnerFluidRow) {
   for (const double rate : m.mean_rate_pps) d.add(rate);
   for (const double aux : m.aux) d.add(aux);
   EXPECT_EQ(d.hex(), "af78cafd438828ea");
+}
+
+// The traces above run 0.5 s with N = 4. The next three reach what they
+// do not: BBRv2's probing-period rollover (Eq. 24, about 2 s), ProbeRTT,
+// and the STARTUP/DRAIN extension with the literal Eqs. (18) and (19).
+// Each also checks that its run visits the state it pins.
+
+/// True when some agent's cruise (m^crs, Eq. 27) ends between two trace
+/// samples. Without the startup extension only a period rollover clears
+/// m^crs once it is set.
+bool cruise_ends(const core::FluidTrace& trace) {
+  for (std::size_t k = 1; k < trace.samples.size(); ++k) {
+    const auto& before = trace.samples[k - 1].agents;
+    const auto& after = trace.samples[k].agents;
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      if (before[i].cca.cruising && !after[i].cca.cruising) return true;
+    }
+  }
+  return false;
+}
+
+/// True when `agent` is in ProbeRTT in some trace sample and out of it in
+/// a later one.
+bool enters_and_leaves_probe_rtt(const core::FluidTrace& trace,
+                                 std::size_t agent) {
+  bool entered = false;
+  for (const auto& sample : trace.samples) {
+    const bool in = sample.agents[agent].cca.probe_rtt;
+    if (entered && !in) return true;
+    entered = entered || in;
+  }
+  return false;
+}
+
+TEST(Golden, PaperGridBbrv2CubicCellTrace) {
+  // bbrsweep's paper-grid cell (N = 10, 100 Mbps, RTTs 30–40 ms, 5 s) for
+  // BBRv2/CUBIC, drop-tail, 1 BDP.
+  scenario::ExperimentSpec spec;
+  spec.mix = scenario::half_half(scenario::CcaKind::kBbrv2,
+                                 scenario::CcaKind::kCubic, 10);
+  spec.capacity_pps = mbps_to_pps(100.0);
+  spec.buffer_bdp = 1.0;
+  spec.discipline = net::Discipline::kDropTail;
+  spec.duration_s = 5.0;
+  auto setup = scenario::build_fluid(spec, core::Recording::kFullTrace);
+  setup.sim->run(2.0);
+  setup.sim->run(3.0);
+  EXPECT_TRUE(cruise_ends(setup.sim->trace()));
+  EXPECT_EQ(simulation_digest(*setup.sim), "6142772307f075bb");
+}
+
+TEST(Golden, Bbrv1Bbrv2ProbeRttTrace) {
+  scenario::ExperimentSpec spec;
+  spec.mix = scenario::half_half(scenario::CcaKind::kBbrv1,
+                                 scenario::CcaKind::kBbrv2, 4);
+  spec.buffer_bdp = 2.0;
+  spec.fluid.probe_rtt_interval_s = 0.5;
+  auto setup = scenario::build_fluid(spec, core::Recording::kFullTrace);
+  setup.sim->run(0.6);
+  setup.sim->run(0.6);
+  EXPECT_TRUE(enters_and_leaves_probe_rtt(setup.sim->trace(), 0));  // BBRv1
+  EXPECT_TRUE(enters_and_leaves_probe_rtt(setup.sim->trace(), 3));  // BBRv2
+  EXPECT_EQ(simulation_digest(*setup.sim), "93ac58aaa6801726");
+}
+
+TEST(Golden, Bbrv1Bbrv2StartupLiteralEquationsTrace) {
+  scenario::ExperimentSpec spec;
+  spec.mix = scenario::half_half(scenario::CcaKind::kBbrv1,
+                                 scenario::CcaKind::kBbrv2, 4);
+  spec.buffer_bdp = 2.0;  // at 1 BDP the literal inflight never drains
+  spec.fluid.model_startup = true;
+  spec.fluid.literal_eq18 = true;
+  spec.fluid.literal_eq19 = true;
+  auto setup = scenario::build_fluid(spec, core::Recording::kFullTrace);
+  const auto& v1 = dynamic_cast<const core::Bbrv1Fluid&>(setup.sim->cca(0));
+  const auto& v2 = dynamic_cast<const core::Bbrv2Fluid&>(setup.sim->cca(3));
+  ASSERT_EQ(v1.phase(), core::Bbrv1Fluid::Phase::kStartup);
+  ASSERT_EQ(v2.phase(), core::Bbrv2Fluid::Phase::kStartup);
+  setup.sim->run(0.4);
+  setup.sim->run(0.6);
+  EXPECT_EQ(v1.phase(), core::Bbrv1Fluid::Phase::kProbeBw);
+  EXPECT_EQ(v2.phase(), core::Bbrv2Fluid::Phase::kProbeBw);
+  EXPECT_EQ(simulation_digest(*setup.sim), "7493aa0c2442e9a0");
 }
 
 void add_flow_stats(Digest& d, const packetsim::FlowStats& s) {

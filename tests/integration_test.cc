@@ -208,7 +208,7 @@ TEST(Theorems, Bbrv2FluidQueueNearTheorem4Equilibrium) {
   spec.min_rtt_s = 0.035;
   spec.max_rtt_s = 0.035;  // the theorem assumes equal propagation delays
   spec.duration_s = 6.0;
-  auto setup = scenario::build_fluid(spec);
+  auto setup = scenario::build_fluid(spec, core::Recording::kFullTrace);
   setup.sim->run(spec.duration_s);
   const double d = 0.035;
   const double q_star = 9.0 / 41.0 * d * spec.capacity_pps;  // ≈64 pkts

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/require.h"
 #include "common/units.h"
@@ -51,6 +53,41 @@ TEST(EvaluateFluid, ProducesBoundedMetrics) {
   EXPECT_EQ(m.mean_rate_pps.size(), 2u);
 }
 
+std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+TEST(EvaluateFluid, LeanAndFullTraceRunsGiveIdenticalMetrics) {
+  // A sweep cell records only the RTT series; a figure records the full
+  // trace too. The metrics must not tell them apart, to the bit.
+  auto spec = quick_spec();
+  spec.mix = scenario::half_half(scenario::CcaKind::kBbrv1,
+                                 scenario::CcaKind::kCubic, 4);
+  spec.duration_s = 1.0;
+  auto lean = scenario::build_fluid(spec);
+  auto full = scenario::build_fluid(spec, core::Recording::kFullTrace);
+  lean.sim->run(spec.duration_s);
+  full.sim->run(spec.duration_s);
+  ASSERT_THROW(lean.sim->trace(), PreconditionError);
+  ASSERT_FALSE(full.sim->trace().empty());
+  const auto a = evaluate_fluid(*lean.sim, lean.bottleneck_link);
+  const auto b = evaluate_fluid(*full.sim, full.bottleneck_link);
+  EXPECT_GT(a.loss_pct, 0.0);  // a lossy cell
+  EXPECT_GT(a.jitter_ms, 0.0);
+  EXPECT_EQ(bits(a.jain), bits(b.jain));
+  EXPECT_EQ(bits(a.loss_pct), bits(b.loss_pct));
+  EXPECT_EQ(bits(a.occupancy_pct), bits(b.occupancy_pct));
+  EXPECT_EQ(bits(a.utilization_pct), bits(b.utilization_pct));
+  EXPECT_EQ(bits(a.jitter_ms), bits(b.jitter_ms));
+  ASSERT_EQ(a.mean_rate_pps.size(), b.mean_rate_pps.size());
+  for (std::size_t i = 0; i < a.mean_rate_pps.size(); ++i) {
+    EXPECT_EQ(bits(a.mean_rate_pps[i]), bits(b.mean_rate_pps[i])) << i;
+  }
+  EXPECT_EQ(a.aux, b.aux);
+}
+
 TEST(EvaluateFluid, RequiresARun) {
   auto setup = scenario::build_fluid(quick_spec());
   EXPECT_THROW(evaluate_fluid(*setup.sim, setup.bottleneck_link),
@@ -58,7 +95,7 @@ TEST(EvaluateFluid, RequiresARun) {
 }
 
 TEST(Series, RatePercentNormalization) {
-  auto setup = scenario::build_fluid(quick_spec());
+  auto setup = scenario::build_fluid(quick_spec(), core::Recording::kFullTrace);
   setup.sim->run(1.0);
   const double cap = mbps_to_pps(100.0);
   const auto s = rate_percent(setup.sim->trace(), 0, cap);
@@ -70,7 +107,7 @@ TEST(Series, RatePercentNormalization) {
 }
 
 TEST(Series, QueueLossRttCwndExtraction) {
-  auto setup = scenario::build_fluid(quick_spec());
+  auto setup = scenario::build_fluid(quick_spec(), core::Recording::kFullTrace);
   setup.sim->run(1.0);
   const auto& trace = setup.sim->trace();
   const auto& topo = setup.sim->topology();

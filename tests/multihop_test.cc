@@ -94,7 +94,8 @@ TEST(ParkingLotFluid, InvariantsAcrossHops) {
   }
   core::FluidConfig cfg;
   cfg.step_s = 100e-6;
-  core::FluidSimulation sim(lot.topology, std::move(agents), cfg);
+  core::FluidSimulation sim(lot.topology, std::move(agents), cfg,
+                            core::Recording::kFullTrace);
   sim.run(4.0);
   for (const auto& s : sim.trace().samples) {
     for (std::size_t l = 0; l < s.links.size(); ++l) {
