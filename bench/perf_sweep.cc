@@ -90,11 +90,7 @@ int main() {
 
   const double speedup = serial_s / best_parallel_s;
 
-  // ---- Fluid work-unit size, single core ---------------------------------
-  // Fluid-only cells run one cell per work unit (batch_cells = 1) and in the
-  // runner's preferred work units (batch_cells = 0). Both go through the
-  // one fluid integrator, so unit size must not change a byte; the time
-  // ratio is recorded, not gated.
+  // ---- Runner throughput, single core ------------------------------------
   sweep::ParameterGrid fluid_grid = grid;
   fluid_grid.backends = {sweep::Backend::kFluid};
   fluid_grid.disciplines = {net::Discipline::kDropTail};
@@ -123,23 +119,8 @@ int main() {
 
   sweep::SweepOptions one_core;
   one_core.threads = 1;
-  one_core.batch_cells = 1;
-  const auto fluid_scalar = sweep::run_sweep(fluid_grid, base, one_core);
-  one_core.batch_cells = 0;  // the runner's preferred work unit
-  const auto fluid_batched = sweep::run_sweep(fluid_grid, base, one_core);
-
-  std::ostringstream scalar_csv, batched_csv;
-  fluid_scalar.write_csv(scalar_csv);
-  fluid_batched.write_csv(batched_csv);
-  if (scalar_csv.str() != batched_csv.str()) {
-    obs::log(obs::LogLevel::kError,
-             "FAIL: fluid results depend on the work-unit size");
-    return 1;
-  }
-  const double batch_speedup =
-      fluid_scalar.elapsed_s() / fluid_batched.elapsed_s();
-  gauges.push_back(gauge_of("fluid", fluid_scalar, base.duration_s));
-  gauges.push_back(gauge_of("fluid_batch", fluid_batched, base.duration_s));
+  const auto fluid = sweep::run_sweep(fluid_grid, base, one_core);
+  gauges.push_back(gauge_of("fluid", fluid, base.duration_s));
 
   // Reduced (closed-form) and packet gauges, for the trajectory record.
   {
@@ -161,18 +142,15 @@ int main() {
   std::printf("%s", banner("Runner throughput — " +
                            std::to_string(fluid_grid.cardinality()) +
                            " cells, 1 thread").c_str());
-  Table batch_table({"runner", "cells", "elapsed[s]", "cells/s",
-                     "ns/sim-s"});
+  Table runner_table({"runner", "cells", "elapsed[s]", "cells/s",
+                      "ns/sim-s"});
   for (const auto& g : gauges) {
-    batch_table.add_row({g.name, std::to_string(g.cells),
-                         format_double(g.elapsed_s, 2),
-                         format_double(g.cells_per_s, 2),
-                         format_double(g.ns_per_sim_s, 0)});
+    runner_table.add_row({g.name, std::to_string(g.cells),
+                          format_double(g.elapsed_s, 2),
+                          format_double(g.cells_per_s, 2),
+                          format_double(g.ns_per_sim_s, 0)});
   }
-  std::printf("%s\n", batch_table.to_string().c_str());
-  std::printf("fluid preferred units vs one cell per unit: %.2fx "
-              "(single core)\n\n",
-              batch_speedup);
+  std::printf("%s\n", runner_table.to_string().c_str());
 
   // Cold vs. warm cell cache on the same grid: the cold run pays the
   // simulations once and fills the store; the warm run must reproduce the
@@ -378,11 +356,6 @@ int main() {
   j.key("cache_warm_s").value(warm_s);
   j.key("cache_speedup").value(cold_s / warm_s);
   j.key("cache_warm_hits").value(static_cast<std::uint64_t>(warm_hits));
-  j.key("batch_cells").value(
-      static_cast<std::uint64_t>(fluid_grid.cardinality()));
-  j.key("batch_scalar_s").value(fluid_scalar.elapsed_s());
-  j.key("batch_batched_s").value(fluid_batched.elapsed_s());
-  j.key("batch_speedup").value(batch_speedup);
   j.key("runners").begin_object();
   for (const auto& g : gauges) {
     j.key(g.name).begin_object();

@@ -279,14 +279,6 @@ const std::vector<Flag> kFlags = {
     {kExecution, "--threads", "N", kRuns, Check::kCount, "0",
      "worker threads; 0 = hardware concurrency",
      [](Options& o, S v) { o.run.threads = u64(v); }},
-    {kExecution, "--batch-cells", "K", kSw | kDrain, Check::kCount, nullptr,
-     "cells per work unit, for runners that take several per call (fluid "
-     "runs a unit's cells one after another on one thread): 0 = the "
-     "runner's choice (default for single-process runs), 1 = one cell "
-     "(default for `worker`), K = up to K. Output bytes never change",
-     [](Options& o, S v) {
-       o.run.batch_cells = o.worker.batch_cells = u64(v);
-     }},
     {kExecution, "--seed", "S", kCells, Check::kCount, "42",
      "base seed; per-task seeds derive from it",
      [](Options& o, S v) { o.run.base_seed = u64(v); }},
@@ -308,11 +300,12 @@ const std::vector<Flag> kFlags = {
      "simulation entirely. `cache` falls back to $BBRM_SWEEP_CACHE",
      [](Options& o, S v) { o.cache_dir = v; }},
     {kExecution, "--timeout", "S", kRuns, Check::kNonNegative, "0",
-     "per-task attempt budget in seconds (0 = off); a timeout is terminal "
-     "for its task (never retried)",
+     "per-attempt budget in seconds (0 = off); the simulation stops at the "
+     "budget and the attempt fails as a timeout, which --retries retries "
+     "like any other failure",
      [](Options& o, S v) { o.run.timeout_s = real(v); }},
     {kExecution, "--retries", "N", kRuns, Check::kCount, "0",
-     "re-run a task that threw up to N more times",
+     "re-run a task that threw or timed out up to N more times",
      [](Options& o, S v) { o.run.max_attempts = 1 + u64(v); }},
     {kExecution, "--quiet", nullptr, kRuns, Check::kSwitch, nullptr,
      "suppress the progress meter",

@@ -3,9 +3,18 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/deadline.h"
 #include "common/require.h"
 
 namespace bbrmodel::core {
+
+namespace {
+
+// Steps between deadline polls: about 1 ms of a paper-grid cell's wall
+// time, so a timed-out run stops within a millisecond or so of its budget.
+constexpr std::size_t kDeadlinePollSteps = 1024;
+
+}  // namespace
 
 FluidSimulation::FluidSimulation(net::Topology topology,
                                  std::vector<std::unique_ptr<FluidCca>> agents,
@@ -123,7 +132,10 @@ void FluidSimulation::run(double duration) {
   if (recording_ == Recording::kFullTrace) {
     trace_.samples.reserve(trace_.samples.size() + samples);
   }
-  for (std::size_t s = 0; s < steps; ++s) step();
+  for (std::size_t s = 0; s < steps; ++s) {
+    if (s % kDeadlinePollSteps == 0) poll_deadline();
+    step();
+  }
 }
 
 // The split interpolate_at makes of t − delay, once per distinct delay. A

@@ -56,7 +56,9 @@ class FluidSimulation {
   FluidSimulation(const FluidSimulation&) = delete;
   FluidSimulation& operator=(const FluidSimulation&) = delete;
 
-  /// Advance the simulation by `duration` seconds.
+  /// Advance the simulation by `duration` seconds. Throws
+  /// DeadlineExceeded, between two steps, once the calling thread's
+  /// deadline has passed (common/deadline.h).
   void run(double duration);
 
   double now() const { return static_cast<double>(step_count_) * config_.step_s; }

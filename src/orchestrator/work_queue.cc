@@ -1469,24 +1469,19 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
                         const WorkerConfig& config) {
   require_worker_id(config.worker_id);
   BBRM_REQUIRE_MSG(config.poll_s > 0.0, "poll interval must be positive");
+  BBRM_REQUIRE_MSG(options.max_attempts >= 1,
+                   "max_attempts must be at least 1");
   const std::string& worker_id = config.worker_id;
   const std::size_t max_cells = config.max_cells;
 
-  // One options template per claimed segment: tasks go through the
-  // ordinary engine path, so caching, timeout, and retry behave exactly as
-  // in a single-process sweep. Parallelism comes from concurrent claim
-  // loops, not from a per-segment pool; batch_cells decides whether the
-  // cells of a segment run one at a time or grouped through a
-  // batch-capable runner.
-  sweep::SweepOptions cell_options = options;
-  cell_options.threads = 1;
-  cell_options.shard = {};
-  cell_options.refine = nullptr;
-  cell_options.progress = nullptr;
-  cell_options.batch_cells = config.batch_cells;
-  if (!cell_options.runner && !plan.runner_name().empty()) {
-    cell_options.runner = sweep::runner_by_name(plan.runner_name());
+  // Every claimed cell goes through sweep::run_cell, the path a
+  // single-process sweep takes, so caching, timeout and retry behave the
+  // same. Parallelism comes from concurrent claim loops.
+  sweep::Runner runner = options.runner;
+  if (!runner && !plan.runner_name().empty()) {
+    runner = sweep::runner_by_name(plan.runner_name());
   }
+  if (!runner) runner = sweep::backend_runner();
 
   const auto started = std::chrono::steady_clock::now();
   std::atomic<std::size_t> completed{0};
@@ -1651,46 +1646,22 @@ WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
         }
         registered = true;
         in_flight_cells.fetch_add(claim->indices.size());
-        if (cell_options.batch_cells == 1 || claim->indices.size() == 1) {
-          for (const std::size_t index : claim->indices) {
-            const sweep::SweepTask& cell = plan.cell_by_index(index);
-            const auto result = sweep::run_tasks({cell}, cell_options);
-            {
-              obs::Span span("append", "queue");
-              queue.publish(result.row(0), worker_id);
-            }
-            queue_metrics().cells_published.add();
-            ++published;
-            in_flight_cells.fetch_sub(1);
-            completed.fetch_add(1);
-            if (!result.row(0).ok) failed.fetch_add(1);
-            // A kill mid-segment must still find this cell's credit in the
-            // stats file (throttled, so fast drains keep their write
-            // budget for results).
-            write_stats_throttled();
+        for (const std::size_t index : claim->indices) {
+          const sweep::TaskResult result =
+              sweep::run_cell(plan.cell_by_index(index), runner, options);
+          {
+            obs::Span span("append", "queue");
+            queue.publish(result, worker_id);
           }
-        } else {
-          // Group the segment's cells (ascending, as run_tasks wants)
-          // through one run_tasks call so a batch-capable runner takes
-          // them in work units (bitwise identical to the cell-at-a-time
-          // path).
-          std::vector<sweep::SweepTask> unit;
-          unit.reserve(claim->indices.size());
-          for (const std::size_t index : claim->indices) {
-            unit.push_back(plan.cell_by_index(index));
-          }
-          const auto result = sweep::run_tasks(unit, cell_options);
-          obs::Span span("append", "queue");
-          span.arg("cells", static_cast<std::uint64_t>(unit.size()));
-          for (std::size_t k = 0; k < unit.size(); ++k) {
-            queue.publish(result.row(k), worker_id);
-            queue_metrics().cells_published.add();
-            ++published;
-            in_flight_cells.fetch_sub(1);
-            completed.fetch_add(1);
-            if (!result.row(k).ok) failed.fetch_add(1);
-            write_stats_throttled();
-          }
+          queue_metrics().cells_published.add();
+          ++published;
+          in_flight_cells.fetch_sub(1);
+          completed.fetch_add(1);
+          if (!result.ok) failed.fetch_add(1);
+          // A kill mid-segment must still find this cell's credit in the
+          // stats file (throttled, so fast drains keep their write budget
+          // for results).
+          write_stats_throttled();
         }
         queue.finish(*claim);
         write_stats_throttled();

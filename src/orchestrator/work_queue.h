@@ -443,9 +443,9 @@ struct WorkerReport {
   std::size_t failed = 0;     ///< of those, cells whose task failed
 };
 
-/// How one run_worker call behaves (identity, budget, cadence, work
-/// units). A claim is always one whole seeded segment: the coordinator's
-/// segment size is the only chunking knob.
+/// How one run_worker call behaves (identity, budget, cadence). A claim
+/// is always one whole seeded segment: the coordinator's segment size is
+/// the only chunking knob.
 struct WorkerConfig {
   /// Claim-file identity ([A-Za-z0-9_-]); required.
   std::string worker_id;
@@ -455,15 +455,13 @@ struct WorkerConfig {
   std::size_t max_cells = 0;
   /// Sleep between empty claim attempts.
   double poll_s = 0.05;
-  /// Unused: claims take whole segments, so the claim size is the seeded
-  /// segment size. Kept so callers that still set it compile.
+  /// Unused: no library code reads it; claims take whole segments. It
+  /// stays only because perfbench/ still assigns it, and ROADMAP item 4(a)
+  /// deletes it.
   std::size_t batch = 0;
-  /// Cells per work unit inside a claimed segment, forwarded to
-  /// sweep::SweepOptions::batch_cells. With a value > 1 (or 0 = the
-  /// runner's preferred unit size) the cells of a segment go through one
-  /// run_tasks call, whose batch-capable runners take several cells per
-  /// call; 1 runs and publishes one cell at a time. Either way results
-  /// are published per cell and are bitwise identical.
+  /// Unused: no library code reads it; a worker runs and publishes the
+  /// cells of a segment one at a time. It stays only because perfbench/
+  /// still assigns it, and ROADMAP item 4(a) deletes it.
   std::size_t batch_cells = 1;
   /// Write workers/<id>.stats on every heartbeat tick (live dashboards).
   bool stats = false;
@@ -473,12 +471,13 @@ struct WorkerConfig {
 };
 
 /// Drain the queue until its plan is complete (or the cell budget is
-/// spent): claim a segment, execute through the engine
-/// (runner resolution, caching, timeout, retry per `options` —
-/// options.threads claim loops run concurrently), publish per cell,
-/// repeat. A background heartbeat renews every in-flight lease at lease/4
-/// cadence. Returns when every cell of the plan has a result, however
-/// many workers produced them.
+/// spent): claim a segment, run each of its cells through sweep::run_cell
+/// (caching, timeout and retry per `options`; options.threads claim loops
+/// run concurrently) and publish it, repeat. The runner is
+/// options.runner, else the plan's named runner, else backend_runner(). A
+/// background heartbeat renews every in-flight lease at lease/4 cadence.
+/// Returns when every cell of the plan has a result, however many workers
+/// produced them.
 WorkerReport run_worker(const WorkQueue& queue, const ExecutionPlan& plan,
                         const sweep::SweepOptions& options,
                         const WorkerConfig& config);

@@ -1,6 +1,16 @@
 #include "packetsim/event_queue.h"
 
+#include "common/deadline.h"
+
 namespace bbrmodel::packetsim {
+
+namespace {
+
+// Entries between deadline polls: about 1 ms of a paper-grid cell's wall
+// time, so a timed-out run stops within a millisecond or so of its budget.
+constexpr std::uint64_t kDeadlinePollEvents = 4096;
+
+}  // namespace
 
 EventQueue::~EventQueue() {
   // Destroy captures of events that never ran (simulation stopped early).
@@ -36,6 +46,9 @@ void EventQueue::release(Node* node) {
 
 void EventQueue::run_until(double t_end) {
   while (!queue_.empty() && queue_.top().time <= t_end) {
+    // Poll before the pop: a throw leaves every pending closure in the
+    // queue, where the destructor frees it.
+    if (executed_ % kDeadlinePollEvents == 0) poll_deadline();
     const Entry e = queue_.top();
     queue_.pop();
     now_ = e.time;

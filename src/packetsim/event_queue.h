@@ -58,7 +58,9 @@ class EventQueue {
   }
 
   /// Run events until the queue is empty or the clock passes `t_end`.
-  /// Events scheduled exactly at t_end are executed.
+  /// Events scheduled exactly at t_end are executed. Throws
+  /// DeadlineExceeded, between two events, once the calling thread's
+  /// deadline has passed (common/deadline.h).
   void run_until(double t_end);
 
   /// Number of queue entries executed so far (a Timer's re-queued or

@@ -90,8 +90,9 @@ PacketSetup build_packet(const ExperimentSpec& spec);
 metrics::AggregateMetrics run_fluid(const ExperimentSpec& spec);
 
 /// Run several fluid experiments, one after another, and return one
-/// metrics entry per spec, in order: run_fluid on each spec. The sweep
-/// layer hands it one work unit's cells at a time.
+/// metrics entry per spec, in order: run_fluid on each spec. Unused: no
+/// library code calls it; it stays only because perfbench/ still calls
+/// it, and ROADMAP item 4(a) deletes it.
 std::vector<metrics::AggregateMetrics> run_fluid_batch(
     const std::vector<const ExperimentSpec*>& specs);
 

@@ -18,14 +18,6 @@ metrics::AggregateMetrics run_packet_cell(const SweepTask& task) {
   return scenario::run_packet(task.spec);
 }
 
-std::vector<metrics::AggregateMetrics> run_fluid_cells(
-    const std::vector<const SweepTask*>& tasks) {
-  std::vector<const scenario::ExperimentSpec*> specs;
-  specs.reserve(tasks.size());
-  for (const SweepTask* task : tasks) specs.push_back(&task->spec);
-  return scenario::run_fluid_batch(specs);
-}
-
 metrics::AggregateMetrics run_reduced(const SweepTask& task) {
   const auto& spec = task.spec;
   const std::size_t n = spec.mix.flows.size();
@@ -88,46 +80,14 @@ metrics::AggregateMetrics run_backend_cell(const SweepTask& task) {
   return metrics::AggregateMetrics{};
 }
 
-// Fluid cells per work unit by default. A unit only sets how many cells
-// one worker call runs back to back; plan_units shrinks units further so a
-// small grid still spreads over every thread.
-constexpr std::size_t kFluidBatch = 8;
-
 }  // namespace
 
-Runner fluid_runner() {
-  Runner r;
-  r.name = "fluid";
-  r.run_one = run_fluid_cell;
-  r.run_batch = run_fluid_cells;
-  r.preferred_batch = kFluidBatch;
-  return r;
-}
+Runner fluid_runner() { return make_runner("fluid", run_fluid_cell); }
 
-Runner packet_runner() {
-  Runner r;
-  r.name = "packet";
-  r.run_one = run_packet_cell;
-  return r;
-}
+Runner packet_runner() { return make_runner("packet", run_packet_cell); }
 
-Runner reduced_runner() {
-  Runner r;
-  r.name = "reduced";
-  r.run_one = run_reduced;
-  return r;
-}
+Runner reduced_runner() { return make_runner("reduced", run_reduced); }
 
-Runner backend_runner() {
-  Runner r;
-  r.name = "backend";
-  r.run_one = run_backend_cell;
-  r.run_batch = run_fluid_cells;
-  r.batchable = [](const SweepTask& task) {
-    return task.backend == Backend::kFluid;
-  };
-  r.preferred_batch = kFluidBatch;
-  return r;
-}
+Runner backend_runner() { return make_runner("backend", run_backend_cell); }
 
 }  // namespace bbrmodel::sweep

@@ -7,15 +7,8 @@
 // cached, and serialized": run_tasks applies whatever runner the options
 // carry, and everything downstream — thread fan-out, per-task timeout,
 // the content-addressed cell cache, shard-invariant CSV/JSON — works for
-// any of them.
-//
-// A runner always provides a scalar `run_one`; it may additionally
-// provide `run_batch`, which takes one work unit of several cells and
-// must return results bitwise identical to calling `run_one` per cell.
-// The scheduler treats work units purely as a scheduling choice:
-// per-cell cache lookups, retries, timeouts and statuses are decided
-// cell by cell, and a failing unit degrades to scalar runs. Runners built
-// with make_runner (benches, tests) are scalar-only.
+// any of them. The engine calls `run_one` once per cell attempt, inline
+// on the thread that runs the cell (see run_cell in sweep/sweep.h).
 //
 // A runner's `name` doubles as its cache namespace: cells are addressed by
 // (runner name, backend, canonical spec bytes), so only named runners
@@ -24,7 +17,6 @@
 // from the task index) — an unnamed runner is never cached.
 #pragma once
 
-#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -39,41 +31,28 @@ namespace bbrmodel::sweep {
 /// task (the byte-reproducibility contract extends through runners).
 using RunnerFn = std::function<metrics::AggregateMetrics(const SweepTask&)>;
 
-/// Maps one work unit of tasks to one metrics entry per task, in order.
-/// The results must be bitwise identical to applying the scalar RunnerFn
-/// to each task — unit size never changes a result. May throw; the
-/// scheduler then retries every cell through the scalar path.
+/// The type of Runner::run_batch, which nothing calls.
 using BatchRunnerFn = std::function<std::vector<metrics::AggregateMetrics>(
     const std::vector<const SweepTask*>&)>;
 
 /// A named runner. The name keys the cell cache; empty = uncacheable.
 ///
-/// Build scalar-only runners with make_runner below — `{name, fn}`
-/// aggregate initialization still compiles but trips
-/// -Wmissing-field-initializers under the CI's -Werror.
+/// Build runners with make_runner below — `{name, fn}` aggregate
+/// initialization still compiles but trips -Wmissing-field-initializers
+/// under the CI's -Werror.
 struct Runner {
   std::string name;
-  /// Scalar path: always present on a usable runner.
+  /// Runs one cell: always present on a usable runner.
   RunnerFn run_one;
-  /// Optional batch path (see BatchRunnerFn). Null = scalar-only.
+  /// Unused: no library code reads it; every cell goes through run_one.
+  /// It stays only because perfbench/ still assigns it, and ROADMAP item
+  /// 4(a) deletes it.
   BatchRunnerFn run_batch;
-  /// Optional per-task eligibility for the batch path (e.g. the backend
-  /// dispatcher batches only fluid cells). Null = every task is eligible
-  /// whenever run_batch exists.
-  std::function<bool(const SweepTask&)> batchable;
-  /// Preferred cells per work unit when the caller does not specify one.
-  std::size_t preferred_batch = 1;
 
   explicit operator bool() const { return static_cast<bool>(run_one); }
-
-  /// True if `task` may go through run_batch.
-  bool can_batch(const SweepTask& task) const {
-    return run_batch && (!batchable || batchable(task));
-  }
 };
 
-/// Scalar-only runner from a name and a function — the compatibility
-/// factory for benches and tests; equivalent to the pre-batch Runner.
+/// A runner from a name and a function, for benches and tests.
 inline Runner make_runner(std::string name, RunnerFn fn) {
   Runner r;
   r.name = std::move(name);
@@ -82,8 +61,7 @@ inline Runner make_runner(std::string name, RunnerFn fn) {
 }
 
 /// Fluid-model ("Model") runner: scenario::run_fluid on the task's spec,
-/// regardless of task.backend. Batch-capable: run_batch runs a work unit's
-/// cells one after another (scenario::run_fluid_batch).
+/// regardless of task.backend.
 Runner fluid_runner();
 
 /// Packet-simulator ("Experiment") runner: scenario::run_packet.
@@ -97,8 +75,7 @@ Runner packet_runner();
 Runner reduced_runner();
 
 /// The default: dispatch on task.backend (kFluid → fluid_runner,
-/// kPacket → packet_runner, kReduced → reduced_runner). Batch-capable for
-/// fluid-backend tasks only.
+/// kPacket → packet_runner, kReduced → reduced_runner).
 Runner backend_runner();
 
 }  // namespace bbrmodel::sweep

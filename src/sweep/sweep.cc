@@ -1,15 +1,14 @@
 #include "sweep/sweep.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <future>
 #include <limits>
-#include <thread>
+#include <optional>
 
 #include "adaptive/refiner.h"
 #include "common/csv.h"
+#include "common/deadline.h"
 #include "common/json.h"
 #include "common/require.h"
 #include "obs/metrics.h"
@@ -41,7 +40,6 @@ metrics::AggregateMetrics failed_metrics() {
 struct AttemptOutcome {
   metrics::AggregateMetrics metrics;
   bool ok = false;
-  bool timed_out = false;
   std::string error;
 };
 
@@ -54,48 +52,35 @@ std::string single_line(std::string text) {
   return text;
 }
 
-/// One runner invocation, optionally fenced by a wall-clock budget. The
-/// timed variant runs the attempt on its own thread; on timeout that
-/// thread is abandoned (detached) — it cannot be cancelled, but its task
-/// copy keeps everything it touches alive until it finishes on its own.
+/// One runner invocation, inline on the calling thread. With a budget the
+/// attempt runs under a ScopedDeadline that the engine loops poll; an
+/// attempt that overruns it is a timeout, whether a poll stopped it or the
+/// runner returned late.
 AttemptOutcome run_attempt(const RunnerFn& fn, const SweepTask& task,
                            double timeout_s) {
-  if (timeout_s <= 0.0) {
-    try {
-      return {fn(task), true, false, ""};
-    } catch (const std::exception& e) {
-      return {failed_metrics(), false, false, single_line(e.what())};
-    } catch (...) {
-      return {failed_metrics(), false, false, "unknown runner error"};
-    }
-  }
-
-  std::packaged_task<metrics::AggregateMetrics()> attempt(
-      [fn, task] { return fn(task); });  // by value: may outlive this frame
-  auto future = attempt.get_future();
-  std::thread worker(std::move(attempt));
-  if (future.wait_for(std::chrono::duration<double>(timeout_s)) ==
-      std::future_status::timeout) {
-    worker.detach();
-    return {failed_metrics(), false, true,
-            "timeout after " + csv_number(timeout_s) + " s"};
-  }
-  worker.join();
+  std::optional<ScopedDeadline> deadline;
+  if (timeout_s > 0.0) deadline.emplace(timeout_s);
+  AttemptOutcome outcome;
   try {
-    return {future.get(), true, false, ""};
+    outcome = {fn(task), true, ""};
   } catch (const std::exception& e) {
-    return {failed_metrics(), false, false, single_line(e.what())};
+    outcome = {failed_metrics(), false, single_line(e.what())};
   } catch (...) {
-    return {failed_metrics(), false, false, "unknown runner error"};
+    outcome = {failed_metrics(), false, "unknown runner error"};
   }
+  if (deadline && deadline->expired()) {
+    outcome = {failed_metrics(), false,
+               "timeout after " + csv_number(timeout_s) + " s"};
+  }
+  return outcome;
 }
 
 /// Hot-path metric handles, resolved once per thread (registry lookups
 /// and shard registration take a lock; updates never do). Per-cell
 /// metrics write through single-writer shards — plain load + store — so
 /// the instrumented path costs ~2 ns per counter even with a pool of
-/// sweep threads. Rare events (retries, failures, per-batch occupancy)
-/// stay on the shared cells.
+/// sweep threads. Rare events (retries, failures) stay on the shared
+/// cells.
 struct SweepMetrics {
   obs::Counter::Shard& cells =
       obs::Registry::global().counter("sweep.cells").shard();
@@ -105,12 +90,8 @@ struct SweepMetrics {
       obs::Registry::global().counter("sweep.cache_misses").shard();
   obs::Counter& retries = obs::Registry::global().counter("sweep.retries");
   obs::Counter& failures = obs::Registry::global().counter("sweep.failures");
-  obs::Counter::Shard& batched_cells =
-      obs::Registry::global().counter("sweep.batched_cells").shard();
   obs::Histogram::Shard& cell_wall_s =
       obs::Registry::global().histogram("sweep.cell_wall_s").shard();
-  obs::Histogram& batch_occupancy =
-      obs::Registry::global().histogram("sweep.batch_occupancy");
 
   static SweepMetrics& get() {
     static thread_local SweepMetrics metrics;
@@ -118,8 +99,9 @@ struct SweepMetrics {
   }
 };
 
-/// Full lifecycle of one task: cache probe, bounded attempts, cache fill.
-TaskResult run_one_task(const SweepTask& task, const Runner& runner,
+/// A cell's lifecycle: cache probe, bounded attempts, cache fill.
+/// run_cell adds the wall clock around it.
+TaskResult execute_cell(const SweepTask& task, const Runner& runner,
                         const SweepOptions& options) {
   SweepMetrics& counters = SweepMetrics::get();
   TaskResult result;
@@ -149,10 +131,6 @@ TaskResult run_one_task(const SweepTask& task, const Runner& runner,
       ++result.attempts;
       outcome = run_attempt(runner.run_one, task, options.timeout_s);
       if (outcome.ok) break;
-      // A timed-out attempt is terminal: its abandoned thread may still be
-      // executing this task, and runners are only promised concurrency
-      // across distinct tasks — retrying would race it.
-      if (outcome.timed_out) break;
     }
     span.arg("attempts", static_cast<std::uint64_t>(result.attempts));
   }
@@ -164,153 +142,6 @@ TaskResult run_one_task(const SweepTask& task, const Runner& runner,
   result.error = std::move(outcome.error);
   if (result.ok && !key.empty()) options.cache->store(key, result.metrics);
   return result;
-}
-
-/// The cell-cache key of a task under `runner`, or "" when the task does
-/// not participate in caching (no cache, unnamed runner, uncacheable spec).
-std::string task_cache_key(const SweepTask& task, const Runner& runner,
-                           const SweepOptions& options) {
-  if (options.cache == nullptr || runner.name.empty() ||
-      !scenario::spec_cacheable(task.spec)) {
-    return "";
-  }
-  return cell_key(runner.name, task);
-}
-
-/// A unit of scheduling: either one task (scalar path) or several
-/// batch-compatible tasks destined for one Runner::run_batch call.
-struct WorkUnit {
-  std::vector<std::size_t> members;  ///< positions into the tasks vector
-  bool batched = false;
-};
-
-/// Group tasks into work units. Batch-eligible tasks (runner.can_batch,
-/// batching enabled) split, in task order, into units of at most
-/// `unit_cells`, sized so small grids still fan out across all workers
-/// instead of collapsing into one big unit. Everything else is a
-/// singleton unit. Multi-cell units come first, so the pool starts the
-/// longest work first and the short singletons fill in around it instead
-/// of one long unit running alone at the end. Unit layout and order never
-/// affect output bytes (see sweep.h).
-std::vector<WorkUnit> plan_units(const std::vector<SweepTask>& tasks,
-                                 const Runner& runner,
-                                 const SweepOptions& options,
-                                 std::size_t workers) {
-  const std::size_t requested = options.batch_cells == 0
-                                    ? runner.preferred_batch
-                                    : options.batch_cells;
-  // A per-attempt timeout fences each cell on its own thread; a unit run
-  // cannot honor that, so the scalar path takes over.
-  const bool batching =
-      runner.run_batch && requested > 1 && options.timeout_s <= 0.0;
-
-  std::vector<std::size_t> batchable;
-  std::vector<std::size_t> singles;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (batching && runner.can_batch(tasks[i])) {
-      batchable.push_back(i);
-    } else {
-      singles.push_back(i);
-    }
-  }
-
-  std::vector<WorkUnit> units;
-  units.reserve(tasks.size());
-  const std::size_t n = batchable.size();
-  // Keep every worker busy: never batch so coarsely that a small grid
-  // serializes onto fewer threads than the pool has.
-  const std::size_t lanes = std::max<std::size_t>(1, std::min(n, workers));
-  const std::size_t unit_cells = std::min(requested, (n + lanes - 1) / lanes);
-  for (std::size_t at = 0; at < n; at += unit_cells) {
-    WorkUnit unit;
-    unit.members.assign(batchable.begin() + at,
-                        batchable.begin() + std::min(n, at + unit_cells));
-    unit.batched = unit.members.size() > 1;
-    units.push_back(std::move(unit));
-  }
-  for (const std::size_t i : singles) units.push_back({{i}, false});
-  return units;
-}
-
-/// Execute one batched unit: peel cache hits per cell, run the misses
-/// through Runner::run_batch, and fill the per-cell rows. Any batch
-/// failure degrades every miss to the scalar run_one_task path, so one
-/// poisoned cell never fails its siblings and per-cell retry semantics
-/// are preserved exactly.
-void run_batch_unit(const std::vector<SweepTask>& tasks, const WorkUnit& unit,
-                    const Runner& runner, const SweepOptions& options,
-                    std::vector<TaskResult>& rows) {
-  SweepMetrics& counters = SweepMetrics::get();
-  std::vector<std::size_t> miss;
-  std::vector<std::string> miss_keys;
-  miss.reserve(unit.members.size());
-
-  {
-    obs::Span probe("cache-probe");
-    probe.arg("cells", static_cast<std::uint64_t>(unit.members.size()));
-    for (const std::size_t i : unit.members) {
-      std::string key = task_cache_key(tasks[i], runner, options);
-      if (!key.empty()) {
-        if (auto cached = options.cache->load(key)) {
-          counters.cache_hits.add();
-          counters.cells.add();
-          rows[i].task = tasks[i];
-          rows[i].metrics = std::move(*cached);
-          rows[i].cached = true;
-          continue;
-        }
-        counters.cache_misses.add();
-      }
-      miss.push_back(i);
-      miss_keys.push_back(std::move(key));
-    }
-    probe.arg("hits",
-              static_cast<std::uint64_t>(unit.members.size() - miss.size()));
-  }
-  if (miss.empty()) return;
-
-  std::vector<const SweepTask*> batch;
-  batch.reserve(miss.size());
-  for (const std::size_t i : miss) batch.push_back(&tasks[i]);
-
-  bool degraded = false;
-  const double start = now_s();
-  counters.batch_occupancy.observe(static_cast<double>(miss.size()));
-  try {
-    obs::Span span("run");
-    span.arg("cells", static_cast<std::uint64_t>(miss.size()));
-    span.arg("batched", std::uint64_t{1});
-    auto metrics = runner.run_batch(batch);
-    BBRM_REQUIRE_MSG(metrics.size() == batch.size(),
-                     "batch runner returned a wrong-sized result");
-    const double per_cell_s = (now_s() - start) /
-                              static_cast<double>(miss.size());
-    for (std::size_t k = 0; k < miss.size(); ++k) {
-      TaskResult& r = rows[miss[k]];
-      r.task = tasks[miss[k]];
-      r.metrics = std::move(metrics[k]);
-      r.ok = true;
-      r.attempts = 1;
-      r.wall_s = per_cell_s;
-      counters.cells.add();
-      counters.batched_cells.add();
-      counters.cell_wall_s.observe(per_cell_s);
-      if (!miss_keys[k].empty()) {
-        options.cache->store(miss_keys[k], r.metrics);
-      }
-    }
-  } catch (...) {
-    degraded = true;
-  }
-  if (degraded) {
-    // Scalar fallback carries the full per-cell attempt budget, so a batch
-    // brought down by one bad cell still completes every healthy sibling.
-    for (const std::size_t i : miss) {
-      const double cell_start = now_s();
-      rows[i] = run_one_task(tasks[i], runner, options);
-      rows[i].wall_s = now_s() - cell_start;
-    }
-  }
 }
 
 }  // namespace
@@ -412,6 +243,15 @@ void SweepResult::write_json(std::ostream& out) const {
   });
 }
 
+TaskResult run_cell(const SweepTask& task, const Runner& runner,
+                    const SweepOptions& options) {
+  const double start = now_s();
+  TaskResult result = execute_cell(task, runner, options);
+  result.wall_s = now_s() - start;
+  SweepMetrics::get().cell_wall_s.observe(result.wall_s);
+  return result;
+}
+
 SweepResult run_tasks(const std::vector<SweepTask>& tasks,
                       const SweepOptions& options) {
   BBRM_REQUIRE_MSG(options.max_attempts >= 1,
@@ -427,27 +267,11 @@ SweepResult run_tasks(const std::vector<SweepTask>& tasks,
 
   const double sweep_start = now_s();
   ThreadPool pool(options.threads);
-  std::vector<WorkUnit> units;
-  {
-    obs::Span span("batch-form");
-    units = plan_units(tasks, runner, options, pool.size());
-    span.arg("tasks", static_cast<std::uint64_t>(tasks.size()));
-    span.arg("units", static_cast<std::uint64_t>(units.size()));
-  }
-  pool.parallel_for(units.size(), [&](std::size_t u) {
-    const WorkUnit& unit = units[u];
-    if (unit.batched) {
-      run_batch_unit(tasks, unit, runner, options, rows);
-    } else {
-      const std::size_t i = unit.members.front();
-      const double task_start = now_s();
-      TaskResult result = run_one_task(tasks[i], runner, options);
-      result.wall_s = now_s() - task_start;
-      SweepMetrics::get().cell_wall_s.observe(result.wall_s);
-      rows[i] = std::move(result);
-    }
-    const std::size_t done =
-        completed.fetch_add(unit.members.size()) + unit.members.size();
+  // One pool task per cell, handed out in index order: backend is the
+  // outermost grid axis, so the long fluid cells start first.
+  pool.parallel_for(tasks.size(), [&](std::size_t i) {
+    rows[i] = run_cell(tasks[i], runner, options);
+    const std::size_t done = completed.fetch_add(1) + 1;
     if (options.progress) options.progress(done, tasks.size());
   });
 

@@ -2,15 +2,20 @@
 // through a pluggable Runner, with per-task timeout/retry, an optional
 // content-addressed cell cache, and process-level sharding.
 //
+// Every cell runs the same way, through run_cell: a cache probe, bounded
+// attempts inline on the calling thread, a cache fill. run_tasks gives
+// each cell its own pool task; a queue worker calls run_cell per claimed
+// cell.
+//
 // Determinism contract: a sweep's SweepResult — including its CSV and JSON
 // serializations — depends only on the tasks (grid + base spec + base
 // seed) and the runner. Thread count, scheduling, shard layout, cache
-// state, and batch grouping (batch_cells) never change a byte, because
-// every task's randomness comes from derive_seed(base_seed, task.index),
-// all results land in index-addressed slots, rows carry their task index,
-// and batch runners are bitwise-identical to their scalar path by
-// contract. (Wall-clock and cache/attempt bookkeeping are the exceptions
-// and are excluded from both emitters.)
+// state and a timeout the cell finishes within never change a byte,
+// because every task's randomness comes from derive_seed(base_seed,
+// task.index), all results land in index-addressed slots, rows carry their
+// task index, and a deadline poll only reads the clock. (Wall-clock and
+// cache/attempt bookkeeping are the exceptions and are excluded from both
+// emitters.)
 // Consequently the union of shard outputs is byte-identical to one full
 // run, and a warm-cache rerun reproduces a cold run exactly.
 #pragma once
@@ -60,21 +65,20 @@ struct SweepOptions {
   /// timed-out tasks are reported in the output rows, never aborting the
   /// sweep.
   Runner runner;
-  /// Per-attempt wall-clock budget in seconds; 0 disables. A timeout is
-  /// terminal for its task — the abandoned invocation may still be
-  /// running, and runners are only promised concurrency across distinct
-  /// tasks, so no retry is attempted.
+  /// Per-attempt wall-clock budget in seconds; 0 disables. The attempt
+  /// runs inline under a deadline that the fluid step loop and the packet
+  /// event loop poll (common/deadline.h), so a timed-out cell stops and
+  /// frees its thread. An attempt that overruns its budget fails with
+  /// "timeout after <timeout_s> s", whether a poll stopped it or the
+  /// runner returned late; a cell that finishes in time is byte-identical
+  /// to an untimed run.
   double timeout_s = 0.0;
-  /// Runner invocations per task before reporting failure (>= 1).
-  /// Retries cover thrown failures, not timeouts (see timeout_s).
+  /// Runner invocations per task before reporting failure (>= 1). A
+  /// timeout counts as a failed attempt like a throw, so it is retried.
   std::size_t max_attempts = 1;
-  /// Cells per work unit handed to Runner::run_batch when the runner has
-  /// one: 0 = the runner's preferred_batch, 1 = one cell per unit through
-  /// run_one, K = up to K eligible cells per unit. Unit size only decides
-  /// how cells are scheduled — results are bitwise identical for every
-  /// size, a failing unit degrades to per-cell scalar retries, cache
-  /// lookups stay per cell, and a per-attempt timeout (timeout_s > 0)
-  /// forces one cell per unit so each cell keeps its own wall-clock fence.
+  /// Unused: no library code reads it; every cell is its own pool task.
+  /// It stays only because perfbench/ still assigns it, and ROADMAP item
+  /// 4(a) deletes it.
   std::size_t batch_cells = 0;
   /// Memoize (runner, backend, spec) cells here; nullptr disables. Only
   /// named runners and cacheable specs participate.
@@ -148,10 +152,20 @@ void write_sweep_json(std::ostream& out, std::size_t tasks,
                       std::size_t failed,
                       const std::function<void(JsonWriter&)>& emit_rows);
 
+/// Run one cell on the calling thread: probe options.cache, make up to
+/// options.max_attempts attempts through `runner` (each under
+/// options.timeout_s), and store a successful result in the cache. Other
+/// fields of `options` are not read. A failed or timed-out cell is a row
+/// with ok == false, never an exception. Requires a usable `runner` and
+/// options.max_attempts >= 1.
+TaskResult run_cell(const SweepTask& task, const Runner& runner,
+                    const SweepOptions& options);
+
 /// Run every task (already expanded and, if desired, shard-filtered)
-/// through options.runner and aggregate. Tasks execute in arbitrary order
-/// across options.threads workers; results are returned in task-index
-/// order. Task indices must be strictly increasing.
+/// through run_cell with options.runner, one pool task per cell, and
+/// aggregate. Cells start in task order across options.threads workers;
+/// results are returned in task-index order. Task indices must be
+/// strictly increasing.
 SweepResult run_tasks(const std::vector<SweepTask>& tasks,
                       const SweepOptions& options = {});
 

@@ -81,9 +81,8 @@ std::string fingerprint(const Options& o) {
              .serialize()
       << '\n';
   out << o.run.threads << ' ' << o.run.timeout_s << ' ' << o.run.max_attempts
-      << ' ' << o.run.batch_cells << ' ' << o.run.shard.index << '/'
-      << o.run.shard.count << ' ' << o.run.triage.name << ' '
-      << o.run.runner.name << '\n';
+      << ' ' << o.run.shard.index << '/' << o.run.shard.count << ' '
+      << o.run.triage.name << ' ' << o.run.runner.name << '\n';
   for (const auto metric : o.policy.metrics) out << to_string(metric) << ',';
   out << ' ' << o.policy.threshold << ' ' << o.policy.max_depth << ' '
       << o.policy.max_cells << ' ' << o.adaptive << ' '
@@ -97,8 +96,7 @@ std::string fingerprint(const Options& o) {
   out << text(o.queue_dir) << ' ' << o.lease_s.value_or(-1.0) << ' '
       << o.skew_margin_s.value_or(-1.0) << ' ' << o.poll_s << ' '
       << o.plan_wait_s << ' ' << o.segment_cells << '\n';
-  out << o.worker.worker_id << ' ' << o.worker.max_cells << ' '
-      << o.worker.batch_cells << '\n';
+  out << o.worker.worker_id << ' ' << o.worker.max_cells << '\n';
   out << o.fleet.workers << ' ' << o.fleet.remote_command << ' '
       << o.fleet.max_strikes << ' ' << o.fleet.ssh_hosts.size() << ' '
       << (o.fleet.autoscale ? o.fleet.autoscale->max_workers : 0) << '\n';
@@ -209,8 +207,6 @@ TEST(CliScope, FlagsThatUsedToBeIgnoredAreRejected) {
        std::vector<std::vector<std::string>>{
            {"plan", "--shard", "1/2"},
            {"plan", "--json", "p.json"},
-           {"plan", "--batch-cells", "4"},
-           {"coordinator", "--queue-dir", "q", "--batch-cells", "4"},
            {"worker", "--queue-dir", "q", "--segment-cells", "4"},
            {"--queue-dir", "q"},
            {"plan", "--trace"}}) {

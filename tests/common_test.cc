@@ -1,4 +1,5 @@
-// Unit tests for src/common: statistics, tables, CSV, units, RNG, checks.
+// Unit tests for src/common: statistics, tables, CSV, units, RNG, checks,
+// deadlines.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,8 +10,10 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "common/csv.h"
+#include "common/deadline.h"
 #include "common/hash.h"
 #include "common/json.h"
 #include "common/parse.h"
@@ -356,6 +359,47 @@ TEST(TryParseDouble, FullStringSemantics) {
   EXPECT_FALSE(try_parse_double("1.5s").has_value())
       << "trailing bytes must reject";
   EXPECT_FALSE(try_parse_double("abc").has_value());
+}
+
+TEST(Deadline, PollsAreNoOpsWithoutADeadline) {
+  EXPECT_NO_THROW(poll_deadline());
+  {
+    const ScopedDeadline generous(600.0);
+    EXPECT_NO_THROW(poll_deadline());
+    EXPECT_FALSE(generous.expired());
+  }
+  EXPECT_NO_THROW(poll_deadline());
+}
+
+TEST(Deadline, ExpiredScopeThrowsAndRestoresTheOuterOne) {
+  const ScopedDeadline outer(600.0);
+  {
+    const ScopedDeadline inner(0.0);
+    EXPECT_TRUE(inner.expired());
+    EXPECT_THROW(poll_deadline(), DeadlineExceeded);
+  }
+  EXPECT_NO_THROW(poll_deadline());
+  EXPECT_FALSE(outer.expired());
+}
+
+TEST(Deadline, IsPerThreadAndHugeBudgetsNeverExpire) {
+  const ScopedDeadline spent(0.0);
+  bool other_thread_threw = true;
+  std::thread other([&] {
+    try {
+      poll_deadline();
+      other_thread_threw = false;
+    } catch (const DeadlineExceeded&) {
+    }
+  });
+  other.join();
+  EXPECT_FALSE(other_thread_threw);
+  std::thread forever([] {
+    const ScopedDeadline huge(1e300);
+    EXPECT_FALSE(huge.expired());
+    EXPECT_NO_THROW(poll_deadline());
+  });
+  forever.join();
 }
 
 }  // namespace

@@ -7,10 +7,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <filesystem>
-#include <functional>
-#include <initializer_list>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -21,7 +17,6 @@
 #include "common/require.h"
 #include "common/rng.h"
 #include "common/units.h"
-#include "sweep/cell_cache.h"
 #include "sweep/merge.h"
 #include "sweep/parameter_grid.h"
 #include "sweep/runner.h"
@@ -357,37 +352,143 @@ TEST(Shard, UnionOfShardOutputsIsByteIdenticalToFullRun) {
       << "shard JSON union must reproduce the full run byte-for-byte";
 }
 
+/// Turn a tiny_grid task into one that runs for seconds: 600 s at the
+/// default 100 Mbps and 50 µs step. Untimed, such a two-flow cell takes
+/// about 4 s (fluid) or 7 s (packet) on a 4-vCPU Xeon VM.
+void make_long(SweepTask& task) {
+  const scenario::ExperimentSpec defaults;
+  task.spec.capacity_pps = defaults.capacity_pps;
+  task.spec.fluid.step_s = defaults.fluid.step_s;
+  task.spec.duration_s = 600.0;
+}
+
 TEST(Sweep, TimedOutTasksAreReportedNotFatal) {
-  const auto tasks = tiny_grid().expand(tiny_base(), 42);
+  // A long fluid cell and a long packet cell beside short ones: the engine
+  // loops poll the attempt's deadline, so each long cell stops soon after
+  // its budget and frees its thread, while its siblings end ok.
+  auto tasks = tiny_grid().expand(tiny_base(), 42);
+  ASSERT_EQ(tasks[1].backend, Backend::kFluid);
+  ASSERT_EQ(tasks[5].backend, Backend::kPacket);
+  make_long(tasks[1]);
+  make_long(tasks[5]);
+  std::atomic<int> running{0};
   SweepOptions options;
   options.threads = 2;
-  // Generous margin over thread-spawn jitter on loaded CI machines: the
-  // hung task sleeps 8x the budget, the healthy ones return instantly.
-  options.timeout_s = 0.25;
-  options.max_attempts = 3;  // timeouts are terminal: must NOT retry
-  options.runner = make_runner("", [](const SweepTask& task) {
-    if (task.index == 1) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2000));
+  options.timeout_s = 0.2;
+  options.runner = make_runner("", [&running](const SweepTask& task) {
+    running.fetch_add(1);
+    struct Leave {
+      std::atomic<int>& running;
+      ~Leave() { running.fetch_sub(1); }
+    } leave{running};
+    return backend_runner().run_one(task);
+  });
+  const auto result = run_tasks(tasks, options);
+  EXPECT_EQ(running.load(), 0) << "no attempt may outlive its sweep";
+  EXPECT_EQ(result.failed(), 2u);
+  for (const auto& row : result.rows()) {
+    if (row.task.index == 1 || row.task.index == 5) {
+      EXPECT_FALSE(row.ok) << row.task.index;
+      EXPECT_EQ(row.error, "timeout after 0.2 s");
+      EXPECT_EQ(row.attempts, 1u);
+      EXPECT_LT(row.wall_s, 1.0)
+          << "a timed-out cell must stop, not run to the end";
+    } else {
+      EXPECT_TRUE(row.ok) << row.task.index << ": " << row.error;
+    }
+  }
+
+  std::ostringstream csv, json;
+  result.write_csv(csv);
+  result.write_json(json);
+  EXPECT_NE(csv.str().find(",failed,timeout after 0.2 s"), std::string::npos);
+  EXPECT_NE(json.str().find("\"ok\": false"), std::string::npos);
+  EXPECT_NE(json.str().find("\"failed\": 2"), std::string::npos);
+}
+
+TEST(Sweep, TimeoutsAreRetriedUpToMaxAttempts) {
+  auto task = tiny_grid().expand(tiny_base(), 42).front();
+  ASSERT_EQ(task.backend, Backend::kFluid);
+  make_long(task);
+  std::atomic<std::size_t> calls{0};
+  SweepOptions options;
+  options.timeout_s = 0.1;
+  options.max_attempts = 3;
+  options.runner = make_runner("", [&calls](const SweepTask& t) {
+    calls.fetch_add(1);
+    return fluid_runner().run_one(t);
+  });
+  const auto result = run_tasks({task}, options);
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_FALSE(result.row(0).ok);
+  EXPECT_EQ(result.row(0).error, "timeout after 0.1 s");
+  EXPECT_EQ(result.row(0).attempts, 3u);
+  EXPECT_EQ(calls.load(), 3u) << "every attempt must run";
+  EXPECT_LT(result.row(0).wall_s, 3.0);
+}
+
+TEST(Sweep, RunCellRunsEveryAttemptOnTheCallingThread) {
+  const auto task = tiny_grid().expand(tiny_base(), 42).front();
+  std::vector<std::thread::id> seen;
+  SweepOptions options;
+  options.timeout_s = 600.0;
+  options.max_attempts = 2;
+  const Runner runner = make_runner("", [&seen](const SweepTask&) {
+    seen.push_back(std::this_thread::get_id());
+    if (seen.size() == 1) throw std::runtime_error("flaky");
+    return metrics::AggregateMetrics{};
+  });
+  const TaskResult row = run_cell(task, runner, options);
+  EXPECT_TRUE(row.ok) << row.error;
+  EXPECT_EQ(row.attempts, 2u);
+  ASSERT_EQ(seen.size(), 2u);
+  for (const auto& id : seen) EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(Sweep, ARetryAfterATimeoutCanSucceed) {
+  // A runner that never polls only returns late; that overrun is a
+  // timeout too, and the retry that returns in time ends ok.
+  const auto tasks = tiny_grid().expand(tiny_base(), 42);
+  std::vector<std::atomic<int>> attempts_per_task(tasks.size());
+  SweepOptions options;
+  options.threads = 2;
+  options.timeout_s = 0.1;
+  options.max_attempts = 3;
+  options.runner = make_runner("", [&](const SweepTask& task) {
+    if (task.index == 3 && attempts_per_task[task.index].fetch_add(1) == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(400));
     }
     metrics::AggregateMetrics m;
     m.jain = 1.0;
     return m;
   });
   const auto result = run_tasks(tasks, options);
-  EXPECT_EQ(result.failed(), 1u);
-  EXPECT_FALSE(result.row(1).ok);
-  EXPECT_NE(result.row(1).error.find("timeout"), std::string::npos);
-  EXPECT_EQ(result.row(1).attempts, 1u)
-      << "the abandoned attempt may still run the task; a retry would "
-         "race it";
-  EXPECT_TRUE(result.row(0).ok);
+  EXPECT_EQ(result.failed(), 0u);
+  EXPECT_EQ(result.row(3).attempts, 2u);
+  EXPECT_TRUE(result.row(3).ok);
+  EXPECT_EQ(result.row(0).attempts, 1u);
+}
 
-  std::ostringstream csv, json;
-  result.write_csv(csv);
-  result.write_json(json);
-  EXPECT_NE(csv.str().find(",failed,timeout"), std::string::npos);
-  EXPECT_NE(json.str().find("\"ok\": false"), std::string::npos);
-  EXPECT_NE(json.str().find("\"failed\": 1"), std::string::npos);
+TEST(Sweep, FluidCellsRunFirst) {
+  // One pool task per cell, handed out in index order: on one thread a
+  // runner sees tiny_grid's cells in index order, and backend is the
+  // outermost axis, so the long fluid cells come first.
+  const auto tasks = tiny_grid().expand(tiny_base(), 42);
+  std::vector<std::size_t> seen;
+  SweepOptions options;
+  options.threads = 1;
+  options.runner = make_runner("", [&seen](const SweepTask& task) {
+    seen.push_back(task.index);
+    return metrics::AggregateMetrics{};
+  });
+  run_tasks(tasks, options);
+  ASSERT_EQ(seen.size(), tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    EXPECT_EQ(seen[i], tasks[i].index);
+  }
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(tasks[seen[i]].backend, Backend::kFluid) << i;
+  }
 }
 
 TEST(Sweep, RetriesRecoverTransientFailures) {
@@ -464,208 +565,6 @@ TEST(Sweep, TaskIndicesMustStrictlyIncrease) {
   auto tasks = tiny_grid().expand(tiny_base(), 42);
   std::swap(tasks[0], tasks[1]);
   EXPECT_THROW(run_tasks(tasks, SweepOptions{}), PreconditionError);
-}
-
-// ---- batched execution -----------------------------------------------------
-
-/// A batch-capable synthetic runner whose run_batch agrees bitwise with
-/// run_one by construction; the test can observe which cells actually
-/// went through the batch path.
-Runner counting_batch_runner(std::vector<std::vector<std::size_t>>* batches,
-                             std::mutex* mutex) {
-  Runner r;
-  r.name = "counting-batch";
-  r.run_one = [](const SweepTask& task) {
-    metrics::AggregateMetrics m;
-    m.jain = 1.0;
-    m.loss_pct = static_cast<double>(task.spec.seed % 97);
-    m.occupancy_pct = task.spec.buffer_bdp;
-    m.utilization_pct = 100.0;
-    return m;
-  };
-  r.run_batch = [batches, mutex, scalar = r.run_one](
-                    const std::vector<const SweepTask*>& members) {
-    std::vector<metrics::AggregateMetrics> out;
-    std::vector<std::size_t> indices;
-    for (const SweepTask* task : members) {
-      out.push_back(scalar(*task));
-      indices.push_back(task->index);
-    }
-    if (batches != nullptr) {
-      std::lock_guard<std::mutex> lock(*mutex);
-      batches->push_back(std::move(indices));
-    }
-    return out;
-  };
-  r.preferred_batch = 4;
-  return r;
-}
-
-TEST(Batch, FluidBatchingIsByteInvariantAcrossThreadsAndShards) {
-  // The real fluid runner under the real dispatcher: any grouping of the
-  // fluid cells into work units must reproduce the one-cell-per-unit bytes
-  // exactly — also when the cells of one unit differ in duration.
-  ParameterGrid grid = tiny_grid();
-  grid.backends = {Backend::kFluid};
-  const auto base = tiny_base();
-  auto mixed_durations = grid.expand(base, SweepOptions{}.base_seed);
-  for (auto& task : mixed_durations) {
-    if (task.index % 2 == 1) task.spec.duration_s = 0.3;
-  }
-  using RunFn = std::function<SweepResult(const SweepOptions&)>;
-  const RunFn inputs[] = {
-      [&](const SweepOptions& o) { return run_sweep(grid, base, o); },
-      [&](const SweepOptions& o) {
-        return run_tasks(filter_shard(mixed_durations, o.shard), o);
-      },
-  };
-
-  for (const RunFn& run : inputs) {
-    SweepOptions scalar;
-    scalar.threads = 1;
-    scalar.batch_cells = 1;
-    std::ostringstream ref_csv, ref_json;
-    const auto reference = run(scalar);
-    reference.write_csv(ref_csv);
-    reference.write_json(ref_json);
-
-    for (const std::size_t batch_cells :
-         std::initializer_list<std::size_t>{0, 3}) {
-      for (const std::size_t threads :
-           std::initializer_list<std::size_t>{1, 4}) {
-        SweepOptions batched;
-        batched.threads = threads;
-        batched.batch_cells = batch_cells;
-        std::ostringstream csv, json;
-        const auto result = run(batched);
-        result.write_csv(csv);
-        result.write_json(json);
-        EXPECT_EQ(csv.str(), ref_csv.str())
-            << "batch_cells=" << batch_cells << " threads=" << threads;
-        EXPECT_EQ(json.str(), ref_json.str())
-            << "batch_cells=" << batch_cells << " threads=" << threads;
-      }
-    }
-
-    // Sharded batched runs merge into the same bytes as the scalar full run.
-    std::vector<std::string> shard_csvs;
-    for (std::size_t k = 0; k < 2; ++k) {
-      SweepOptions sharded;
-      sharded.batch_cells = 2;
-      sharded.shard = {k, 2};
-      std::ostringstream csv;
-      run(sharded).write_csv(csv);
-      shard_csvs.push_back(csv.str());
-    }
-    EXPECT_EQ(merge_csv(shard_csvs), ref_csv.str())
-        << "batched shard union must be byte-identical to the scalar run";
-  }
-}
-
-TEST(Batch, MultiCellUnitsRunFirst) {
-  // tiny_grid's four fluid cells form one unit on one thread; it must run
-  // before the four packet singletons, so the first progress report
-  // covers the whole unit.
-  const auto tasks = tiny_grid().expand(tiny_base(), 42);
-  std::vector<std::size_t> done;
-  SweepOptions options;
-  options.threads = 1;
-  options.progress = [&done](std::size_t completed, std::size_t) {
-    done.push_back(completed);
-  };
-  run_tasks(tasks, options);
-  ASSERT_FALSE(done.empty());
-  EXPECT_EQ(done.front(), 4u)
-      << "the first unit to finish must be the 4-cell fluid unit";
-  EXPECT_EQ(done.back(), tasks.size());
-}
-
-TEST(Batch, WarmCellsArePeeledFromBatches) {
-  const auto tasks = tiny_grid().expand(tiny_base(), 42);
-  const auto dir =
-      std::filesystem::path(::testing::TempDir()) / "batch_peel_cache";
-  std::filesystem::remove_all(dir);
-  CellCache cache(dir.string());
-
-  // Reference bytes: everything scalar, no cache.
-  SweepOptions scalar;
-  scalar.runner = counting_batch_runner(nullptr, nullptr);
-  scalar.batch_cells = 1;
-  std::ostringstream reference;
-  run_tasks(tasks, scalar).write_csv(reference);
-
-  // Warm the even-indexed cells through the scalar path.
-  SweepOptions warm = scalar;
-  warm.cache = &cache;
-  run_tasks(filter_shard(tasks, {0, 2}), warm);
-  const std::size_t warmed = cache.stores();
-  ASSERT_GT(warmed, 0u);
-
-  // A batched run against the warm cache: hits are served per cell and
-  // only the misses reach run_batch.
-  std::mutex mutex;
-  std::vector<std::vector<std::size_t>> batches;
-  SweepOptions batched;
-  batched.runner = counting_batch_runner(&batches, &mutex);
-  batched.batch_cells = 8;
-  batched.threads = 1;
-  batched.cache = &cache;
-  std::ostringstream out;
-  run_tasks(tasks, batched).write_csv(out);
-  EXPECT_EQ(out.str(), reference.str())
-      << "a mixed warm/cold batch must not change a byte";
-
-  std::size_t batched_cells = 0;
-  for (const auto& group : batches) {
-    for (const std::size_t index : group) {
-      EXPECT_EQ(index % 2, 1u) << "warm cell " << index
-                               << " must be peeled before the batch runs";
-      ++batched_cells;
-    }
-  }
-  EXPECT_EQ(batched_cells, tasks.size() - warmed);
-}
-
-TEST(Batch, FailingBatchDegradesToScalarWithoutPoisoningSiblings) {
-  const auto tasks = tiny_grid().expand(tiny_base(), 42);
-  std::atomic<std::size_t> batch_attempts{0};
-  Runner runner = counting_batch_runner(nullptr, nullptr);
-  const RunnerFn healthy = runner.run_one;
-  runner.run_one = [healthy](const SweepTask& task) {
-    if (task.index == 2) throw std::runtime_error("cell 2 is cursed");
-    return healthy(task);
-  };
-  runner.run_batch = [&batch_attempts](const std::vector<const SweepTask*>&)
-      -> std::vector<metrics::AggregateMetrics> {
-    batch_attempts.fetch_add(1);
-    throw std::runtime_error("batch integration exploded");
-  };
-
-  SweepOptions options;
-  options.runner = runner;
-  options.batch_cells = 8;
-  options.threads = 2;
-  const auto result = run_tasks(tasks, options);
-  EXPECT_GT(batch_attempts.load(), 0u) << "the batch path must be tried";
-  EXPECT_EQ(result.failed(), 1u);
-  for (const auto& row : result.rows()) {
-    if (row.task.index == 2) {
-      EXPECT_FALSE(row.ok);
-      EXPECT_NE(row.error.find("cursed"), std::string::npos)
-          << "the scalar retry's error must be reported, not the batch's";
-    } else {
-      EXPECT_TRUE(row.ok)
-          << "siblings of a failed batch must recover via scalar retries";
-    }
-  }
-
-  // The recovered run's bytes match a pure scalar run of the same runner.
-  SweepOptions scalar = options;
-  scalar.batch_cells = 1;
-  std::ostringstream a, b;
-  result.write_csv(a);
-  run_tasks(tasks, scalar).write_csv(b);
-  EXPECT_EQ(a.str(), b.str());
 }
 
 }  // namespace
