@@ -14,7 +14,7 @@
 #include "common/units.h"
 #include "core/engine.h"
 #include "net/topology.h"
-#include "packetsim/multihop.h"
+#include "packetsim/network.h"
 #include "scenario/scenario.h"
 
 namespace {
@@ -54,7 +54,7 @@ LotResult run_fluid_lot(scenario::CcaKind long_kind, std::size_t hops,
 
 LotResult run_packet_lot(scenario::CcaKind long_kind, std::size_t hops,
                          double duration) {
-  packetsim::MultiHopNet net(17);
+  packetsim::PacketNet net(17);
   const double cap = mbps_to_pps(100.0);
   std::vector<std::size_t> chain;
   for (std::size_t h = 0; h < hops; ++h) {
@@ -70,7 +70,7 @@ LotResult run_packet_lot(scenario::CcaKind long_kind, std::size_t hops,
   net.run(duration);
 
   LotResult r;
-  const auto rates = net.mean_rates_pps();
+  const auto rates = net.aggregate_metrics().mean_rate_pps;
   r.long_rate_pps = rates[0];
   RunningStats cross;
   for (std::size_t i = 1; i < rates.size(); ++i) cross.add(rates[i]);

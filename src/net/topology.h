@@ -1,4 +1,6 @@
-// Network topology shared by the fluid engine and the packet simulator.
+// Network topology of the fluid engine. The packet simulator does not use
+// it: packetsim::PacketNet builds its own links and paths, and models access
+// links as delays.
 //
 // A network is a set of unidirectional links (capacity, buffer, one-way
 // propagation delay, queuing discipline) plus one path per agent (an ordered

@@ -197,14 +197,38 @@ std::optional<std::vector<std::size_t>> segment_members(
   return members;
 }
 
-std::string stats_field(const std::map<std::string, std::string>& fields,
-                        const std::string& key) {
-  const auto it = fields.find(key);
-  return it == fields.end() ? std::string() : it->second;
+using Fields = std::map<std::string, std::string, std::less<>>;
+
+/// A key=value text file (publish checkpoint, counters, worker stats):
+/// one entry per line with a non-empty key, the last line of a key wins.
+/// nullopt when the file is absent.
+std::optional<Fields> read_fields(const std::string& path) {
+  const auto bytes = read_text_file(path);
+  if (!bytes) return std::nullopt;
+  Fields fields;
+  std::istringstream in(*bytes);
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto eq = line.find('=');
+    if (eq == std::string::npos || eq == 0) continue;
+    fields[line.substr(0, eq)] = line.substr(eq + 1);
+  }
+  return fields;
 }
 
-double parse_stat_double(const std::string& text) {
-  return try_parse_double(text).value_or(0.0);
+/// One field as an integer: nullopt when absent or not a number.
+std::optional<std::uint64_t> u64_field(const Fields& fields,
+                                       std::string_view key) {
+  const auto it = fields.find(key);
+  if (it == fields.end()) return std::nullopt;
+  return try_parse_u64(it->second);
+}
+
+/// One field as a double: 0 when absent or not a number.
+double double_field(const Fields& fields, std::string_view key) {
+  const auto it = fields.find(key);
+  if (it == fields.end()) return 0.0;
+  return try_parse_double(it->second).value_or(0.0);
 }
 
 /// The layout stamp: the first line of plan.bbrplan. Layout 3 is this
@@ -366,18 +390,10 @@ LogScan scan_log_records(const std::string& path, std::uint64_t from) {
 /// costs read time.
 std::optional<std::pair<std::uint64_t, std::uint64_t>> read_checkpoint(
     const std::string& path) {
-  const auto bytes = read_text_file(path);
-  if (!bytes) return std::nullopt;
-  std::istringstream in(*bytes);
-  std::string line;
-  std::optional<std::uint64_t> records, covered;
-  while (std::getline(in, line)) {
-    if (line.rfind("records=", 0) == 0) {
-      records = try_parse_u64(line.substr(8));
-    } else if (line.rfind("bytes=", 0) == 0) {
-      covered = try_parse_u64(line.substr(6));
-    }
-  }
+  const auto fields = read_fields(path);
+  if (!fields) return std::nullopt;
+  const auto records = u64_field(*fields, "records");
+  const auto covered = u64_field(*fields, "bytes");
   if (!records || !covered) return std::nullopt;
   return std::make_pair(*records, *covered);
 }
@@ -390,24 +406,14 @@ struct StoredCounters {
 };
 
 std::optional<StoredCounters> read_stored_counters(const std::string& path) {
-  const auto bytes = read_text_file(path);
-  if (!bytes) return std::nullopt;
-  std::istringstream in(*bytes);
-  std::string line;
+  const auto fields = read_fields(path);
+  if (!fields) return std::nullopt;
+  const auto total = u64_field(*fields, "total");
+  if (!total) return std::nullopt;
   StoredCounters counters;
-  bool have_total = false;
-  while (std::getline(in, line)) {
-    if (line.rfind("total=", 0) == 0) {
-      if (const auto v = try_parse_u64(line.substr(6))) {
-        counters.total = static_cast<std::size_t>(*v);
-        have_total = true;
-      }
-    } else if (line.rfind("segment-cells=", 0) == 0) {
-      counters.segment_cells = static_cast<std::size_t>(
-          try_parse_u64(line.substr(14)).value_or(0));
-    }
-  }
-  if (!have_total) return std::nullopt;
+  counters.total = static_cast<std::size_t>(*total);
+  counters.segment_cells = static_cast<std::size_t>(
+      u64_field(*fields, "segment-cells").value_or(0));
   return counters;
 }
 
@@ -860,10 +866,6 @@ bool WorkQueue::renew(const Claim& claim) const {
          Touch::kOk;
 }
 
-void WorkQueue::publish(const sweep::TaskResult& result) const {
-  publish(result, std::string());
-}
-
 void WorkQueue::publish(const sweep::TaskResult& result,
                         const std::string& worker_id) const {
   if (!result.ok) {
@@ -874,13 +876,11 @@ void WorkQueue::publish(const sweep::TaskResult& result,
                           encode_result_file(result), "queue failed cell");
     return;
   }
-  const std::string id =
-      worker_id.empty() ? default_worker_id() : worker_id;
   const std::string record =
       encode_log_record(result.task.index, result.ok, result.error,
                         sweep::encode_cell_metrics(result.metrics));
   std::lock_guard<std::mutex> lock(publish_mutex_);
-  PubState& pub = open_publisher_locked(id);
+  PubState& pub = open_publisher_locked(worker_id);
   const bool wrote =
       std::fwrite(record.data(), 1, record.size(), pub.append) ==
           record.size() &&
@@ -892,12 +892,14 @@ void WorkQueue::publish(const sweep::TaskResult& result,
     std::fclose(pub.append);
     pub.append = nullptr;
     BBRM_REQUIRE_MSG(false, "queue result log append failed for worker " +
-                                id + " (" + log_path(id) + ")");
+                                worker_id + " (" + log_path(worker_id) + ")");
   }
   pub.records += 1;
   pub.bytes += record.size();
   pub.unflushed += 1;
-  if (pub.unflushed >= kCheckpointEvery) write_checkpoint_locked(id, pub);
+  if (pub.unflushed >= kCheckpointEvery) {
+    write_checkpoint_locked(worker_id, pub);
+  }
 }
 
 void WorkQueue::finish(const Claim& claim) const {
@@ -1321,32 +1323,26 @@ namespace {
 /// One stats file's fields (heartbeat age is the caller's concern).
 std::optional<WorkerStats> parse_worker_stats(const std::string& path,
                                               const std::string& fallback_id) {
-  const auto bytes = read_text_file(path);
-  if (!bytes) return std::nullopt;
-  std::map<std::string, std::string> fields;
-  std::istringstream in(*bytes);
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto eq = line.find('=');
-    if (eq == std::string::npos || eq == 0) continue;
-    fields[line.substr(0, eq)] = line.substr(eq + 1);
-  }
+  const auto fields = read_fields(path);
+  if (!fields) return std::nullopt;
   WorkerStats stats;
-  stats.worker_id = stats_field(fields, "worker");
-  if (stats.worker_id.empty()) stats.worker_id = fallback_id;
+  const auto worker = fields->find("worker");
+  stats.worker_id = worker != fields->end() && !worker->second.empty()
+                        ? worker->second
+                        : fallback_id;
   stats.completed = static_cast<std::size_t>(
-      try_parse_u64(stats_field(fields, "completed")).value_or(0));
-  stats.failed = static_cast<std::size_t>(
-      try_parse_u64(stats_field(fields, "failed")).value_or(0));
-  stats.in_flight = static_cast<std::size_t>(
-      try_parse_u64(stats_field(fields, "in_flight")).value_or(0));
-  stats.elapsed_s = parse_stat_double(stats_field(fields, "elapsed_s"));
-  stats.cells_per_s = parse_stat_double(stats_field(fields, "cells_per_s"));
+      u64_field(*fields, "completed").value_or(0));
+  stats.failed =
+      static_cast<std::size_t>(u64_field(*fields, "failed").value_or(0));
+  stats.in_flight =
+      static_cast<std::size_t>(u64_field(*fields, "in_flight").value_or(0));
+  stats.elapsed_s = double_field(*fields, "elapsed_s");
+  stats.cells_per_s = double_field(*fields, "cells_per_s");
   // Files written before the sliding window existed lack the field; the
   // lifetime average is the best available estimate there.
   stats.window_cells_per_s =
-      fields.count("window_cells_per_s") != 0
-          ? parse_stat_double(stats_field(fields, "window_cells_per_s"))
+      fields->count("window_cells_per_s") != 0
+          ? double_field(*fields, "window_cells_per_s")
           : stats.cells_per_s;
   return stats;
 }

@@ -228,9 +228,7 @@ class WorkQueue {
   /// Publish one finished cell without touching the claim, so a crash
   /// mid-segment loses only the unpublished members: one framed,
   /// hash-sealed append to `worker_id`'s result log (failed cells go to
-  /// per-cell files under failed/ so a re-seed can drop and retry them);
-  /// the no-worker overload logs under this process's default worker id.
-  void publish(const sweep::TaskResult& result) const;
+  /// per-cell files under failed/ so a re-seed can drop and retry them).
   void publish(const sweep::TaskResult& result,
                const std::string& worker_id) const;
 

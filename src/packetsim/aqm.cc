@@ -1,5 +1,7 @@
 #include "packetsim/aqm.h"
 
+#include <algorithm>
+
 #include "common/require.h"
 
 namespace bbrmodel::packetsim {
@@ -10,21 +12,6 @@ DropTailAqm::DropTailAqm(double buffer_pkts) : buffer_pkts_(buffer_pkts) {
 
 bool DropTailAqm::should_drop(double /*now*/, double queue_pkts, Rng& /*rng*/) {
   return queue_pkts + 1.0 > buffer_pkts_ + 1e-9;
-}
-
-RedAqm::RedAqm(double buffer_pkts, double ewma_weight)
-    : buffer_pkts_(buffer_pkts), weight_(ewma_weight) {
-  BBRM_REQUIRE_MSG(buffer_pkts >= 1.0, "buffer must hold at least one packet");
-  BBRM_REQUIRE_MSG(ewma_weight > 0.0 && ewma_weight <= 1.0,
-                   "EWMA weight must be in (0, 1]");
-}
-
-bool RedAqm::should_drop(double /*now*/, double queue_pkts, Rng& rng) {
-  avg_ = (1.0 - weight_) * avg_ + weight_ * queue_pkts;
-  // Hard limit: a physically full buffer always drops.
-  if (queue_pkts + 1.0 > buffer_pkts_ + 1e-9) return true;
-  const double p = std::clamp(avg_ / buffer_pkts_, 0.0, 1.0);
-  return rng.chance(p);
 }
 
 FloydRedAqm::FloydRedAqm(double buffer_pkts, double min_th_pkts,

@@ -1,20 +1,15 @@
 // Active queue management for the packet-level bottleneck.
 //
-// Three disciplines:
+// Two disciplines:
 //  * DropTailAqm — drop when the buffer is full (the fluid model's Eq. 4
 //    counterpart).
-//  * RedAqm — linear drop probability in the EWMA-averaged queue,
-//    p = avg/B. This is the packet-level counterpart of the paper's
-//    idealized RED (Eq. 6) including the averaging lag the paper names as a
-//    model-vs-experiment difference ("real RED relies on outdated and
-//    averaged measurements of the queue size", §4.2).
 //  * FloydRedAqm — classic RED (Floyd & Jacobson '93) with min/max
-//    thresholds and gentle mode, provided as an extension.
+//    thresholds and gentle mode over the EWMA-averaged queue, as a tc-red
+//    deployment runs it: the experiment counterpart of the paper's
+//    idealized RED (Eq. 6), including the averaging lag the paper names as
+//    a model-vs-experiment difference ("real RED relies on outdated and
+//    averaged measurements of the queue size", §4.2).
 #pragma once
-
-#include <algorithm>
-#include <memory>
-#include <string>
 
 #include "common/rng.h"
 
@@ -34,8 +29,6 @@ class Aqm {
   /// the link converts probabilistic "drops" into CE marks whenever the
   /// buffer physically has room (RFC 3168 marking semantics).
   virtual bool ecn_capable() const { return false; }
-
-  virtual std::string name() const = 0;
 };
 
 /// Drop-tail: drop iff the buffer is full.
@@ -43,30 +36,13 @@ class DropTailAqm : public Aqm {
  public:
   explicit DropTailAqm(double buffer_pkts);
   bool should_drop(double now, double queue_pkts, Rng& rng) override;
-  std::string name() const override { return "drop-tail"; }
 
  private:
   double buffer_pkts_;
-};
-
-/// RED with a linear drop curve over the EWMA queue average: p = avg/B.
-class RedAqm : public Aqm {
- public:
-  /// @param ewma_weight  w_q of the queue average (Floyd's default 0.002).
-  explicit RedAqm(double buffer_pkts, double ewma_weight = 0.002);
-  bool should_drop(double now, double queue_pkts, Rng& rng) override;
-  std::string name() const override { return "RED"; }
-
-  double average_queue() const { return avg_; }
-
- private:
-  double buffer_pkts_;
-  double weight_;
-  double avg_ = 0.0;
 };
 
 /// Classic RED: no drops below min_th, probabilistic up to max_p at max_th,
-/// linear ramp to 1 between max_th and the buffer limit ("gentle" mode).
+/// linear ramp to 1 between max_th and 2·max_th ("gentle" mode).
 /// With `ecn` enabled, probabilistic drops become CE marks (RFC 3168).
 class FloydRedAqm : public Aqm {
  public:
@@ -75,11 +51,6 @@ class FloydRedAqm : public Aqm {
               bool ecn = false);
   bool should_drop(double now, double queue_pkts, Rng& rng) override;
   bool ecn_capable() const override { return ecn_; }
-  std::string name() const override {
-    return ecn_ ? "RED(Floyd)+ECN" : "RED(Floyd)";
-  }
-
-  double average_queue() const { return avg_; }
 
  private:
   double buffer_pkts_;

@@ -12,13 +12,6 @@ constexpr double kMinRto = 0.2;   // conventional 200 ms floor
 constexpr double kMaxRto = 60.0;
 }  // namespace
 
-Flow::Flow(EventQueue& events, int id, double access_delay_s,
-           BottleneckLink& link, std::unique_ptr<PacketCca> cca,
-           double start_time_s)
-    : Flow(events, id, access_delay_s,
-           [&link](const Packet& pkt) { link.offer(pkt); },
-           link.prop_delay_s(), std::move(cca), start_time_s) {}
-
 Flow::Flow(EventQueue& events, int id, double access_delay_s, Egress egress,
            double path_prop_delay_s, std::unique_ptr<PacketCca> cca,
            double start_time_s)

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -24,7 +25,6 @@
 #include "common/stats.h"
 #include "packetsim/cca_api.h"
 #include "packetsim/event_queue.h"
-#include "packetsim/link.h"
 #include "packetsim/packet.h"
 #include "packetsim/pool.h"
 
@@ -49,15 +49,13 @@ class Flow {
   /// Where the sender injects packets (the first link of its path).
   using Egress = std::function<void(const Packet&)>;
 
-  /// @param access_delay_s one-way delay sender↔switch (heterogeneous RTTs).
-  /// @param start_time_s   when the first packet leaves.
-  Flow(EventQueue& events, int id, double access_delay_s,
-       BottleneckLink& link, std::unique_ptr<PacketCca> cca,
-       double start_time_s = 0.0);
-
-  /// Multi-hop variant: packets are handed to `egress` after the access
-  /// delay; `path_prop_delay_s` is the one-way propagation of the whole
-  /// forward path (the ACK return delay is access + path propagation).
+  /// Packets are handed to `egress` after the access delay.
+  /// @param access_delay_s    one-way delay sender↔switch (heterogeneous
+  ///                          RTTs).
+  /// @param path_prop_delay_s one-way propagation of the whole forward
+  ///                          path (the ACK return delay is access + path
+  ///                          propagation).
+  /// @param start_time_s      when the first packet leaves.
   Flow(EventQueue& events, int id, double access_delay_s, Egress egress,
        double path_prop_delay_s, std::unique_ptr<PacketCca> cca,
        double start_time_s = 0.0);

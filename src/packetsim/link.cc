@@ -16,9 +16,9 @@ BottleneckLink::BottleneckLink(EventQueue& events, double capacity_pps,
       aqm_(std::move(aqm)),
       rng_(rng),
       deliver_(std::move(deliver)),
-      capacity_room_pkts_(buffer_pkts > 0.0
-                              ? buffer_pkts
-                              : std::numeric_limits<double>::infinity()) {
+      buffer_pkts_(buffer_pkts > 0.0
+                       ? buffer_pkts
+                       : std::numeric_limits<double>::infinity()) {
   BBRM_REQUIRE_MSG(capacity_pps > 0.0, "capacity must be positive");
   BBRM_REQUIRE_MSG(prop_delay_s >= 0.0, "delay must be non-negative");
   BBRM_REQUIRE_MSG(aqm_ != nullptr, "an AQM is required");
@@ -41,7 +41,7 @@ void BottleneckLink::offer(const Packet& packet) {
   if (aqm_->should_drop(events_.now(), queue_pkts(), rng_)) {
     // ECN: a probabilistic "drop" becomes a CE mark while the buffer
     // physically has room (RFC 3168); a genuinely full buffer still drops.
-    const bool has_room = queue_pkts() + 1.0 <= capacity_room_pkts_;
+    const bool has_room = queue_pkts() + 1.0 <= buffer_pkts_;
     if (aqm_->ecn_capable() && has_room) {
       admitted.ecn_ce = true;
       ++stats_.marked;

@@ -47,7 +47,8 @@ class BottleneckLink {
   const LinkStats& stats() const { return stats_; }
   double capacity_pps() const { return capacity_pps_; }
   double prop_delay_s() const { return prop_delay_s_; }
-  const Aqm& aqm() const { return *aqm_; }
+  /// The physical buffer bound; infinite when built without one.
+  double buffer_pkts() const { return buffer_pkts_; }
 
   /// Bring the queue-time integral up to date (call before reading stats).
   void flush_accounting();
@@ -67,7 +68,7 @@ class BottleneckLink {
   bool busy_ = false;
   LinkStats stats_;
   double last_account_time_ = 0.0;
-  double capacity_room_pkts_ = 0.0;
+  double buffer_pkts_ = 0.0;
 };
 
 }  // namespace bbrmodel::packetsim

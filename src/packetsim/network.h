@@ -1,12 +1,14 @@
-// The packet-level dumbbell experiment (the paper's mininet substitute).
+// The packet-level network experiment (the paper's mininet substitute).
 //
-// N senders with heterogeneous access delays share one bottleneck
-// (capacity, one-way propagation delay, AQM buffer). Produces the same
-// aggregate metrics as the fluid side (metrics::AggregateMetrics) and a
-// sampled trace for the "Experiment" columns of the trace figures.
+// Bottleneck links (capacity, one-way propagation delay, AQM buffer) and
+// flows with heterogeneous access delays, each routed over an ordered path
+// of links. Data traverses the links of its path in order; ACKs return over
+// an uncongested fixed-delay path. The paper's dumbbell (§4) is a one-link
+// net, the §8 parking lot a chain of links. Produces the same aggregate
+// metrics as the fluid side (metrics::AggregateMetrics) and a sampled trace
+// for the "Experiment" columns of the trace figures.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -18,12 +20,11 @@
 
 namespace bbrmodel::packetsim {
 
-/// Which AQM guards the bottleneck buffer.
+/// Which AQM guards a link's buffer.
 enum class AqmKind {
   kDropTail,
-  kRed,       ///< classic thresholded RED (experiment counterpart of Eq. 6)
-  kFloydRed,  ///< classic min/max-threshold RED (extension)
-  kRedEcn,    ///< RED with CE marking instead of drops (extension, RFC 3168)
+  kRed,     ///< classic thresholded RED (experiment counterpart of Eq. 6)
+  kRedEcn,  ///< RED with CE marking instead of drops (extension, RFC 3168)
 };
 
 /// One trace row of the packet experiment.
@@ -31,8 +32,8 @@ struct PacketSampleRow {
   double t = 0.0;
   std::vector<double> flow_rate_pps;   ///< sends per flow over the interval
   std::vector<double> flow_srtt_s;     ///< smoothed RTT per flow
-  double queue_pkts = 0.0;             ///< instantaneous bottleneck backlog
-  double loss_fraction = 0.0;          ///< drops/arrivals over the interval
+  double queue_pkts = 0.0;             ///< instantaneous link-0 backlog
+  double loss_fraction = 0.0;          ///< link-0 drops/arrivals, interval
 };
 
 /// Recorded packet-experiment trace.
@@ -50,16 +51,22 @@ struct RedThresholds {
   double max_pkts = -1.0;  ///< negative: 50 % of the buffer
 };
 
-/// The assembled dumbbell experiment.
-class DumbbellNet {
+/// The assembled experiment: links, and flows routed over them.
+class PacketNet {
  public:
-  /// @param buffer_pkts bottleneck buffer (B); AQM built accordingly.
-  DumbbellNet(double capacity_pps, double bottleneck_delay_s,
-              double buffer_pkts, AqmKind aqm, std::uint64_t seed = 42,
-              double sample_interval_s = 0.01, RedThresholds red = {});
+  /// @param seed              AQM randomness shared by every link.
+  /// @param sample_interval_s spacing of the trace rows.
+  explicit PacketNet(std::uint64_t seed, double sample_interval_s = 0.01);
 
-  /// Add one flow; returns its index. Call before run().
-  std::size_t add_flow(double access_delay_s,
+  /// Add a bottleneck link of `buffer_pkts` (>= 1) packets guarded by
+  /// `aqm`; returns its index. Call before run().
+  std::size_t add_link(double capacity_pps, double prop_delay_s,
+                       double buffer_pkts, AqmKind aqm,
+                       RedThresholds red = {});
+
+  /// Add a flow traversing `path` (ordered link indices) after a one-way
+  /// access delay; returns its index. Call before run().
+  std::size_t add_flow(double access_delay_s, std::vector<std::size_t> path,
                        std::unique_ptr<PacketCca> cca,
                        double start_time_s = 0.0);
 
@@ -69,23 +76,29 @@ class DumbbellNet {
 
   std::size_t num_flows() const { return flows_.size(); }
   const Flow& flow(std::size_t i) const;
-  const BottleneckLink& bottleneck() const { return *link_; }
+  const BottleneckLink& link(std::size_t l) const;
+  /// Sampled per-flow rates and RTTs, with link 0's queue and loss.
   const PacketTrace& trace() const { return trace_; }
   double duration_s() const { return duration_s_; }
   EventQueue& events() { return events_; }
 
-  /// The same five aggregate metrics as the fluid model reports.
+  /// The same five aggregate metrics as the fluid model reports: Jain,
+  /// jitter and the per-flow rates over every flow; loss, occupancy and
+  /// utilization of link 0 (the dumbbell's bottleneck).
   metrics::AggregateMetrics aggregate_metrics() const;
 
  private:
+  /// The one delivery hook of every link: on to the next link of the
+  /// packet's path, or to its receiver after the last one.
+  void forward(const Packet& packet);
   void sample_row();
 
   EventQueue events_;
   Rng rng_;
-  double buffer_pkts_;
   double sample_interval_s_;
-  std::unique_ptr<BottleneckLink> link_;
+  std::vector<std::unique_ptr<BottleneckLink>> links_;
   std::vector<std::unique_ptr<Flow>> flows_;
+  std::vector<std::vector<BottleneckLink*>> paths_;  ///< one per flow
   PacketTrace trace_;
   double duration_s_ = 0.0;
   bool started_ = false;
@@ -96,11 +109,5 @@ class DumbbellNet {
   std::int64_t last_arrived_ = 0;
   std::int64_t last_dropped_ = 0;
 };
-
-/// Build the AQM object for a buffer.
-std::unique_ptr<Aqm> make_aqm(AqmKind kind, double buffer_pkts,
-                              RedThresholds red = {});
-
-std::string to_string(AqmKind kind);
 
 }  // namespace bbrmodel::packetsim

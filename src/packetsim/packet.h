@@ -13,6 +13,7 @@ struct Packet {
   bool retransmit = false;    ///< this transmission is a retransmission
   bool handshake = false;     ///< connection-setup probe (SYN analogue)
   bool ecn_ce = false;        ///< congestion-experienced mark (RFC 3168)
+  int hop = 0;                ///< its flow's path index of the current link
   double sent_time = 0.0;     ///< departure time from the sender
 
   // Delivery-rate sampling snapshots (Linux-style rate samples): the

@@ -157,12 +157,12 @@ PacketSetup build_packet(const ExperimentSpec& spec) {
   packetsim::RedThresholds red;
   red.min_pkts = 0.10 * setup.bottleneck_bdp_pkts;
   red.max_pkts = 0.50 * setup.bottleneck_bdp_pkts;
-  setup.net = std::make_unique<packetsim::DumbbellNet>(
+  setup.net = std::make_unique<packetsim::PacketNet>(spec.seed);
+  const std::size_t bottleneck = setup.net->add_link(
       spec.capacity_pps, spec.bottleneck_delay_s,
-      std::max(1.0, spec.buffer_bdp * setup.bottleneck_bdp_pkts), aqm,
-      spec.seed, 0.01, red);
+      std::max(1.0, spec.buffer_bdp * setup.bottleneck_bdp_pkts), aqm, red);
   for (std::size_t i = 0; i < spec.mix.flows.size(); ++i) {
-    setup.net->add_flow(ds.access_delays_s[i],
+    setup.net->add_flow(ds.access_delays_s[i], {bottleneck},
                         make_packet_cca(spec.mix.flows[i],
                                         spec.seed + 1000 + i));
   }

@@ -80,7 +80,7 @@ FluidSetup build_fluid(const ExperimentSpec& spec,
 
 /// Packet ("Experiment") side of the experiment, ready to run.
 struct PacketSetup {
-  std::unique_ptr<packetsim::DumbbellNet> net;
+  std::unique_ptr<packetsim::PacketNet> net;  ///< one link: the bottleneck
   double bottleneck_bdp_pkts = 0.0;
 };
 PacketSetup build_packet(const ExperimentSpec& spec);

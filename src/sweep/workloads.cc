@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -9,7 +10,7 @@
 #include "common/stats.h"
 #include "core/engine.h"
 #include "net/topology.h"
-#include "packetsim/multihop.h"
+#include "packetsim/network.h"
 #include "scenario/scenario.h"
 
 namespace bbrmodel::sweep {
@@ -76,7 +77,7 @@ metrics::AggregateMetrics run_parking_lot(const SweepTask& task) {
     BBRM_REQUIRE_MSG(task.backend == Backend::kPacket,
                      "the parking-lot workload runs on the fluid or packet "
                      "backend (reduced has no multi-hop closed form)");
-    packetsim::MultiHopNet net(task.spec.seed);
+    packetsim::PacketNet net(task.spec.seed);
     std::vector<std::size_t> chain;
     for (std::size_t h = 0; h < hops; ++h) {
       chain.push_back(net.add_link(cap_pps, kParkingLotHopDelay, 260.0,
@@ -90,8 +91,13 @@ metrics::AggregateMetrics run_parking_lot(const SweepTask& task) {
                                              task.spec.seed + 600 + h));
     }
     net.run(t_end);
-    m.mean_rate_pps = net.mean_rates_pps();
+    m.mean_rate_pps = net.aggregate_metrics().mean_rate_pps;
   }
+  // A chain has no single bottleneck for loss, occupancy, utilization and
+  // jitter to describe: NaN, printed as empty CSV cells and JSON nulls.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  m.jain = jain_index(m.mean_rate_pps);
+  m.loss_pct = m.occupancy_pct = m.utilization_pct = m.jitter_ms = nan;
   m.aux = {long_over_cross(m)};
   return m;
 }

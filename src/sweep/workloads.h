@@ -37,6 +37,8 @@ inline constexpr double kParkingLotAccessDelay = 0.005;
 /// translate into cross-flow access delays — the long flow always keeps
 /// the fixed default delay, so asymmetric RTT axes vary the cross
 /// traffic, not the subject. Runs on the fluid or packet backend;
+/// jain is over every flow's mean rate, loss/occupancy/utilization/jitter
+/// are NaN (the chain has no single bottleneck for them), and
 /// aux = {long-flow rate / mean cross rate}. Named ("parking-lot"), so
 /// cells cache and plans can reference it.
 Runner parking_lot_runner();

@@ -24,12 +24,13 @@ TEST(EcnAqm, FloydRedMarksOnlyWhenEnabled) {
 }
 
 TEST(EcnNetwork, RedEcnMarksInsteadOfDropping) {
-  DumbbellNet net(mbps_to_pps(100.0), 0.010, 260.0, AqmKind::kRedEcn, 7);
+  PacketNet net(7);
+  net.add_link(mbps_to_pps(100.0), 0.010, 260.0, AqmKind::kRedEcn);
   for (int i = 0; i < 4; ++i) {
-    net.add_flow(0.005 + 0.001 * i, std::make_unique<RenoCca>());
+    net.add_flow(0.005 + 0.001 * i, {0}, std::make_unique<RenoCca>());
   }
   net.run(5.0);
-  const auto& ls = net.bottleneck().stats();
+  const auto& ls = net.link(0).stats();
   EXPECT_GT(ls.marked, 10);         // congestion signalled via CE …
   EXPECT_LT(ls.dropped, ls.marked); // … more often than via drops
   // Windows still regulated: queue does not stay pinned at the buffer.
@@ -39,21 +40,23 @@ TEST(EcnNetwork, RedEcnMarksInsteadOfDropping) {
 }
 
 TEST(EcnNetwork, RenoRespondsWithoutRetransmits) {
-  DumbbellNet net(mbps_to_pps(100.0), 0.010, 260.0, AqmKind::kRedEcn, 7);
-  net.add_flow(0.0056, std::make_unique<RenoCca>());
+  PacketNet net(7);
+  net.add_link(mbps_to_pps(100.0), 0.010, 260.0, AqmKind::kRedEcn);
+  net.add_flow(0.0056, {0}, std::make_unique<RenoCca>());
   net.run(5.0);
   const auto s = net.flow(0).stats();
   // CE marks throttle the window but nothing is lost or resent.
   EXPECT_EQ(s.retransmits, 0);
   EXPECT_EQ(s.lost_marked, 0);
-  EXPECT_GT(net.bottleneck().stats().marked, 0);
+  EXPECT_GT(net.link(0).stats().marked, 0);
 }
 
 TEST(EcnNetwork, CubicRespondsToMarks) {
-  DumbbellNet net(mbps_to_pps(100.0), 0.010, 260.0, AqmKind::kRedEcn, 7);
-  net.add_flow(0.0056, std::make_unique<CubicCca>());
+  PacketNet net(7);
+  net.add_link(mbps_to_pps(100.0), 0.010, 260.0, AqmKind::kRedEcn);
+  net.add_flow(0.0056, {0}, std::make_unique<CubicCca>());
   net.run(5.0);
-  EXPECT_GT(net.bottleneck().stats().marked, 0);
+  EXPECT_GT(net.link(0).stats().marked, 0);
   EXPECT_EQ(net.flow(0).stats().retransmits, 0);
   // The marking point (min_th = 26 pkts) caps the standing queue well
   // below what drop-tail CUBIC would build.
@@ -62,9 +65,10 @@ TEST(EcnNetwork, CubicRespondsToMarks) {
 
 TEST(EcnNetwork, Bbrv2TreatsMarksAsCongestion) {
   auto run_with = [](AqmKind aqm) {
-    DumbbellNet net(mbps_to_pps(100.0), 0.010, 260.0, aqm, 7);
+    PacketNet net(7);
+    net.add_link(mbps_to_pps(100.0), 0.010, 260.0, aqm);
     for (int i = 0; i < 4; ++i) {
-      net.add_flow(0.005 + 0.001 * i, std::make_unique<Bbr2Cca>(50 + i));
+      net.add_flow(0.005 + 0.001 * i, {0}, std::make_unique<Bbr2Cca>(50 + i));
     }
     net.run(5.0);
     return net.aggregate_metrics();
@@ -80,10 +84,11 @@ TEST(EcnNetwork, Bbrv2TreatsMarksAsCongestion) {
 
 TEST(EcnNetwork, MarkingStopsAtFullBuffer) {
   // A tiny buffer forces genuine drops even under an ECN AQM.
-  DumbbellNet net(mbps_to_pps(100.0), 0.010, 12.0, AqmKind::kRedEcn, 7);
-  net.add_flow(0.0056, std::make_unique<RenoCca>());
+  PacketNet net(7);
+  net.add_link(mbps_to_pps(100.0), 0.010, 12.0, AqmKind::kRedEcn);
+  net.add_flow(0.0056, {0}, std::make_unique<RenoCca>());
   net.run(3.0);
-  EXPECT_GT(net.bottleneck().stats().dropped, 0);
+  EXPECT_GT(net.link(0).stats().dropped, 0);
 }
 
 }  // namespace

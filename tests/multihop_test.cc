@@ -1,5 +1,5 @@
 // Multi-bottleneck scenarios (paper §8 future work): parking-lot topology
-// in the fluid model and the packet-level MultiHopNet.
+// in the fluid model and chains of links in the packet-level PacketNet.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,7 +9,7 @@
 #include "common/units.h"
 #include "core/engine.h"
 #include "net/topology.h"
-#include "packetsim/multihop.h"
+#include "packetsim/network.h"
 #include "packetsim/reno_cca.h"
 #include "packetsim/bbr1_cca.h"
 #include "packetsim/bbr2_cca.h"
@@ -108,8 +108,8 @@ TEST(ParkingLotFluid, InvariantsAcrossHops) {
   }
 }
 
-TEST(MultiHopNet, SingleFlowAcrossTwoHopsDelivers) {
-  packetsim::MultiHopNet net(7);
+TEST(PacketNet, SingleFlowAcrossTwoHopsDelivers) {
+  packetsim::PacketNet net(7);
   const auto l0 = net.add_link(1000.0, 0.005, 100.0,
                                packetsim::AqmKind::kDropTail);
   const auto l1 = net.add_link(1000.0, 0.005, 100.0,
@@ -128,8 +128,8 @@ TEST(MultiHopNet, SingleFlowAcrossTwoHopsDelivers) {
   EXPECT_LE(in_transit, 20);
 }
 
-TEST(MultiHopNet, SecondHopNeverSeesMoreThanFirstServes) {
-  packetsim::MultiHopNet net(7);
+TEST(PacketNet, SecondHopNeverSeesMoreThanFirstServes) {
+  packetsim::PacketNet net(7);
   const auto l0 =
       net.add_link(1000.0, 0.005, 20.0, packetsim::AqmKind::kDropTail);
   const auto l1 =
@@ -141,8 +141,8 @@ TEST(MultiHopNet, SecondHopNeverSeesMoreThanFirstServes) {
   EXPECT_LT(net.flow(0).stats().delivered, 3.0 * 550.0);
 }
 
-TEST(MultiHopNet, ParkingLotLongFlowDisadvantaged) {
-  packetsim::MultiHopNet net(11);
+TEST(PacketNet, ParkingLotLongFlowDisadvantaged) {
+  packetsim::PacketNet net(11);
   const double cap = mbps_to_pps(100.0);
   std::vector<std::size_t> hops;
   for (int h = 0; h < 3; ++h) {
@@ -154,18 +154,18 @@ TEST(MultiHopNet, ParkingLotLongFlowDisadvantaged) {
     net.add_flow(0.005, {hops[h]}, std::make_unique<packetsim::RenoCca>());
   }
   net.run(8.0);
-  const auto rates = net.mean_rates_pps();
+  const auto rates = net.aggregate_metrics().mean_rate_pps;
   RunningStats cross;
   for (std::size_t i = 1; i < rates.size(); ++i) cross.add(rates[i]);
   EXPECT_LT(rates[0], cross.mean());
 }
 
-TEST(MultiHopNet, Bbrv1LongFlowHoldsShareBetterThanReno) {
+TEST(PacketNet, Bbrv1LongFlowHoldsShareBetterThanReno) {
   // BBR's rate-based probing is less sensitive to multiple loss points than
   // AIMD — the long BBRv1 flow keeps a larger share than a long Reno flow
   // in the same lot.
   auto long_share = [](auto make_cca) {
-    packetsim::MultiHopNet net(11);
+    packetsim::PacketNet net(11);
     const double cap = mbps_to_pps(100.0);
     std::vector<std::size_t> hops;
     for (int h = 0; h < 3; ++h) {
@@ -178,7 +178,7 @@ TEST(MultiHopNet, Bbrv1LongFlowHoldsShareBetterThanReno) {
                    std::make_unique<packetsim::RenoCca>());
     }
     net.run(8.0);
-    return net.mean_rates_pps()[0];
+    return net.aggregate_metrics().mean_rate_pps[0];
   };
   const double reno_long = long_share([](int) {
     return std::make_unique<packetsim::RenoCca>();
@@ -187,19 +187,6 @@ TEST(MultiHopNet, Bbrv1LongFlowHoldsShareBetterThanReno) {
     return std::make_unique<packetsim::Bbr1Cca>(100 + i);
   });
   EXPECT_GT(bbr_long, reno_long);
-}
-
-TEST(MultiHopNet, ValidatesUsage) {
-  packetsim::MultiHopNet net(1);
-  EXPECT_THROW(net.run(1.0), PreconditionError);
-  const auto l0 =
-      net.add_link(1000.0, 0.005, 50.0, packetsim::AqmKind::kDropTail);
-  EXPECT_THROW(net.add_flow(0.005, {l0 + 5},
-                            std::make_unique<packetsim::RenoCca>()),
-               PreconditionError);
-  EXPECT_THROW(net.add_flow(0.005, {},
-                            std::make_unique<packetsim::RenoCca>()),
-               PreconditionError);
 }
 
 }  // namespace

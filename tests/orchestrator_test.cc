@@ -475,7 +475,7 @@ TEST(WorkQueueBatch, BatchedSeedClaimsWholeChunksAsOneUnit) {
     sweep::TaskResult result;
     result.task = plan.cell_by_index(index);
     result.metrics = synthetic_runner().run_one(result.task);
-    queue.publish(result);
+    queue.publish(result, "worker-a");
   }
   queue.finish(*claim);
   const auto counters = queue.counters();

@@ -163,8 +163,9 @@ TEST(Bbr1Cca, LossIsIgnored) {
 }
 
 TEST(Bbr1Cca, ReachesProbeBwOnRealPath) {
-  DumbbellNet net(8333.0, 0.010, 300.0, AqmKind::kDropTail, 5);
-  net.add_flow(0.0056, std::make_unique<Bbr1Cca>(5));
+  PacketNet net(5);
+  net.add_link(8333.0, 0.010, 300.0, AqmKind::kDropTail);
+  net.add_flow(0.0056, {0}, std::make_unique<Bbr1Cca>(5));
   net.run(3.0);
   const auto* bbr = dynamic_cast<const Bbr1Cca*>(&net.flow(0).cca());
   ASSERT_NE(bbr, nullptr);
@@ -176,8 +177,9 @@ TEST(Bbr1Cca, ReachesProbeBwOnRealPath) {
 }
 
 TEST(Bbr1Cca, EntersProbeRttAfterTenSeconds) {
-  DumbbellNet net(8333.0, 0.010, 300.0, AqmKind::kDropTail, 5, 0.02);
-  net.add_flow(0.0056, std::make_unique<Bbr1Cca>(5));
+  PacketNet net(5, 0.02);
+  net.add_link(8333.0, 0.010, 300.0, AqmKind::kDropTail);
+  net.add_flow(0.0056, {0}, std::make_unique<Bbr1Cca>(5));
   net.run(12.0);
   // The ProbeRTT dip is visible in the trace as a near-zero rate sample
   // after t = 10 s.
@@ -189,8 +191,9 @@ TEST(Bbr1Cca, EntersProbeRttAfterTenSeconds) {
 }
 
 TEST(Bbr1Cca, CyclesThroughProbePhases) {
-  DumbbellNet net(8333.0, 0.010, 300.0, AqmKind::kDropTail, 5, 0.005);
-  net.add_flow(0.0056, std::make_unique<Bbr1Cca>(5));
+  PacketNet net(5, 0.005);
+  net.add_link(8333.0, 0.010, 300.0, AqmKind::kDropTail);
+  net.add_flow(0.0056, {0}, std::make_unique<Bbr1Cca>(5));
   net.run(3.0);
   // Rate samples should show probing above and draining below the mean.
   double max_rate = 0.0, min_rate = 1e18;
@@ -213,8 +216,9 @@ TEST(Bbr2Cca, StartsUnsetInflightHi) {
 TEST(Bbr2Cca, DeepBufferLeavesInflightHiUnset) {
   // Insight 5 mechanism: without loss, STARTUP exits via plateau and the
   // long-term bound stays unset → the generic 2·BDP window governs.
-  DumbbellNet net(8333.0, 0.010, 7.0 * 260.0, AqmKind::kDropTail, 5);
-  net.add_flow(0.0056, std::make_unique<Bbr2Cca>(5));
+  PacketNet net(5);
+  net.add_link(8333.0, 0.010, 7.0 * 260.0, AqmKind::kDropTail);
+  net.add_flow(0.0056, {0}, std::make_unique<Bbr2Cca>(5));
   net.run(4.0);
   const auto* bbr = dynamic_cast<const Bbr2Cca*>(&net.flow(0).cca());
   ASSERT_NE(bbr, nullptr);
@@ -222,8 +226,9 @@ TEST(Bbr2Cca, DeepBufferLeavesInflightHiUnset) {
 }
 
 TEST(Bbr2Cca, ShallowBufferSetsAndBoundsInflightHi) {
-  DumbbellNet net(8333.0, 0.010, 40.0, AqmKind::kDropTail, 5);
-  net.add_flow(0.0056, std::make_unique<Bbr2Cca>(5));
+  PacketNet net(5);
+  net.add_link(8333.0, 0.010, 40.0, AqmKind::kDropTail);
+  net.add_flow(0.0056, {0}, std::make_unique<Bbr2Cca>(5));
   net.run(5.0);
   const auto* bbr = dynamic_cast<const Bbr2Cca*>(&net.flow(0).cca());
   ASSERT_NE(bbr, nullptr);
@@ -235,8 +240,9 @@ TEST(Bbr2Cca, ShallowBufferSetsAndBoundsInflightHi) {
 }
 
 TEST(Bbr2Cca, AchievesHighUtilizationAlone) {
-  DumbbellNet net(8333.0, 0.010, 260.0, AqmKind::kDropTail, 5);
-  net.add_flow(0.0056, std::make_unique<Bbr2Cca>(5));
+  PacketNet net(5);
+  net.add_link(8333.0, 0.010, 260.0, AqmKind::kDropTail);
+  net.add_flow(0.0056, {0}, std::make_unique<Bbr2Cca>(5));
   net.run(5.0);
   const auto m = net.aggregate_metrics();
   EXPECT_GT(m.utilization_pct, 90.0);
@@ -245,12 +251,13 @@ TEST(Bbr2Cca, AchievesHighUtilizationAlone) {
 
 TEST(Bbr2Cca, LowerLossThanBbrv1UnderContention) {
   auto run_mix = [](bool use_v2) {
-    DumbbellNet net(8333.0, 0.010, 260.0, AqmKind::kDropTail, 11);
+    PacketNet net(11);
+    net.add_link(8333.0, 0.010, 260.0, AqmKind::kDropTail);
     for (int i = 0; i < 4; ++i) {
       if (use_v2) {
-        net.add_flow(0.005 + 0.001 * i, std::make_unique<Bbr2Cca>(100 + i));
+        net.add_flow(0.005 + 0.001 * i, {0}, std::make_unique<Bbr2Cca>(100 + i));
       } else {
-        net.add_flow(0.005 + 0.001 * i, std::make_unique<Bbr1Cca>(100 + i));
+        net.add_flow(0.005 + 0.001 * i, {0}, std::make_unique<Bbr1Cca>(100 + i));
       }
     }
     net.run(5.0);
@@ -263,8 +270,9 @@ TEST(Bbr2Cca, LowerLossThanBbrv1UnderContention) {
 }
 
 TEST(Bbr2Cca, CruisesMostOfTheTime) {
-  DumbbellNet net(8333.0, 0.010, 260.0, AqmKind::kDropTail, 5);
-  net.add_flow(0.0056, std::make_unique<Bbr2Cca>(5));
+  PacketNet net(5);
+  net.add_link(8333.0, 0.010, 260.0, AqmKind::kDropTail);
+  net.add_flow(0.0056, {0}, std::make_unique<Bbr2Cca>(5));
   net.run(5.0);
   const auto* bbr = dynamic_cast<const Bbr2Cca*>(&net.flow(0).cca());
   ASSERT_NE(bbr, nullptr);
@@ -295,8 +303,9 @@ TEST(Bbr2Cca, InflightLoArmsOnCruiseLoss) {
 }
 
 TEST(Bbr2Cca, ProbeRttShrinksWindowToHalfBdp) {
-  DumbbellNet net(8333.0, 0.010, 260.0, AqmKind::kDropTail, 5, 0.02);
-  net.add_flow(0.0056, std::make_unique<Bbr2Cca>(5));
+  PacketNet net(5, 0.02);
+  net.add_link(8333.0, 0.010, 260.0, AqmKind::kDropTail);
+  net.add_flow(0.0056, {0}, std::make_unique<Bbr2Cca>(5));
   net.run(12.0);
   bool saw_probe_rtt_dip = false;
   for (const auto& row : net.trace().rows) {

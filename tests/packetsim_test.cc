@@ -137,37 +137,6 @@ TEST(DropTail, RejectsDegenerateBuffer) {
   EXPECT_THROW(DropTailAqm(0.5), PreconditionError);
 }
 
-TEST(RedLinear, AverageFollowsQueue) {
-  RedAqm aqm(100.0, 0.5);
-  Rng rng(1);
-  aqm.should_drop(0.0, 40.0, rng);
-  EXPECT_NEAR(aqm.average_queue(), 20.0, 1e-12);
-  aqm.should_drop(0.0, 40.0, rng);
-  EXPECT_NEAR(aqm.average_queue(), 30.0, 1e-12);
-}
-
-TEST(RedLinear, AlwaysDropsAtFullBuffer) {
-  RedAqm aqm(10.0);
-  Rng rng(1);
-  EXPECT_TRUE(aqm.should_drop(0.0, 10.0, rng));
-}
-
-TEST(RedLinear, DropFrequencyGrowsWithQueue) {
-  Rng rng(1);
-  auto drop_fraction = [&](double q) {
-    RedAqm aqm(100.0, 1.0);  // EWMA weight 1: avg = q instantly
-    int drops = 0;
-    for (int i = 0; i < 5000; ++i) {
-      if (aqm.should_drop(0.0, q, rng)) ++drops;
-    }
-    return drops / 5000.0;
-  };
-  const double low = drop_fraction(10.0);
-  const double high = drop_fraction(70.0);
-  EXPECT_NEAR(low, 0.10, 0.03);
-  EXPECT_NEAR(high, 0.70, 0.03);
-}
-
 TEST(FloydRed, NoDropsBelowMinThreshold) {
   FloydRedAqm aqm(100.0, 20.0, 60.0, 0.1, 1.0);
   Rng rng(1);
@@ -337,23 +306,25 @@ TEST(Flow, RtoBacksOffExponentiallyUpToTheCap) {
   // starts data at 1 s and nothing is ever acknowledged. Each timeout
   // doubles the initial 1 s RTO until the backoff cap (2^6 = 64 s).
   std::vector<double> rtos;
-  DumbbellNet net(1e-4, 0.010, 10.0, AqmKind::kDropTail, 7, 1.0);
-  net.add_flow(0.005, std::make_unique<RtoRecordingCca>(&rtos));
+  PacketNet net(7, 1.0);
+  net.add_link(1e-4, 0.010, 10.0, AqmKind::kDropTail);
+  net.add_flow(0.005, {0}, std::make_unique<RtoRecordingCca>(&rtos));
   net.run(300.0);
   EXPECT_EQ(rtos, (std::vector<double>{2, 4, 8, 16, 32, 64, 128, 192, 256}));
   EXPECT_EQ(net.flow(0).stats().rtos, 9);
 }
 
-TEST(DumbbellNet, LosslessConservationWithFixedWindow) {
+TEST(PacketNet, LosslessConservationWithFixedWindow) {
   // Window 20 ≪ buffer: no drops; every sent packet is delivered or in
   // flight at the end.
-  DumbbellNet net(1000.0, 0.010, 1000.0, AqmKind::kDropTail, 7);
-  net.add_flow(0.005, std::make_unique<FixedWindowCca>(20.0));
+  PacketNet net(7);
+  net.add_link(1000.0, 0.010, 1000.0, AqmKind::kDropTail);
+  net.add_flow(0.005, {0}, std::make_unique<FixedWindowCca>(20.0));
   net.run(3.0);
   const auto s = net.flow(0).stats();
   EXPECT_GT(s.delivered, 100);
   EXPECT_EQ(s.lost_marked, 0);
-  EXPECT_EQ(net.bottleneck().stats().dropped, 0);
+  EXPECT_EQ(net.link(0).stats().dropped, 0);
   EXPECT_NEAR(static_cast<double>(s.data_sent),
               static_cast<double>(s.delivered) + net.flow(0).inflight_pkts(),
               1.0);
@@ -362,22 +333,24 @@ TEST(DumbbellNet, LosslessConservationWithFixedWindow) {
   EXPECT_GE(s.min_rtt_s, 0.030 - 1e-9);
 }
 
-TEST(DumbbellNet, FixedWindowThroughputMatchesLittlesLaw) {
+TEST(PacketNet, FixedWindowThroughputMatchesLittlesLaw) {
   // cwnd 20 over a ~31 ms RTT (30 ms propagation + 1 ms service) ≈ 645 pps,
   // below the 1000 pps bottleneck.
-  DumbbellNet net(1000.0, 0.010, 1000.0, AqmKind::kDropTail, 7);
-  net.add_flow(0.005, std::make_unique<FixedWindowCca>(20.0));
+  PacketNet net(7);
+  net.add_link(1000.0, 0.010, 1000.0, AqmKind::kDropTail);
+  net.add_flow(0.005, {0}, std::make_unique<FixedWindowCca>(20.0));
   net.run(5.0);
   const auto m = net.aggregate_metrics();
   EXPECT_NEAR(m.mean_rate_pps[0], 20.0 / 0.031, 40.0);
 }
 
-TEST(DumbbellNet, ConservationUnderLoss) {
-  DumbbellNet net(1000.0, 0.010, 20.0, AqmKind::kDropTail, 7);
-  net.add_flow(0.005, std::make_unique<RenoCca>());
+TEST(PacketNet, ConservationUnderLoss) {
+  PacketNet net(7);
+  net.add_link(1000.0, 0.010, 20.0, AqmKind::kDropTail);
+  net.add_flow(0.005, {0}, std::make_unique<RenoCca>());
   net.run(3.0);
   const auto s = net.flow(0).stats();
-  const auto& ls = net.bottleneck().stats();
+  const auto& ls = net.link(0).stats();
   EXPECT_GT(ls.dropped, 0);
   // Receiver cannot see more than was served.
   EXPECT_LE(s.received, ls.served);
@@ -386,23 +359,25 @@ TEST(DumbbellNet, ConservationUnderLoss) {
             s.delivered + (s.lost_marked - s.retransmits));
 }
 
-TEST(DumbbellNet, DeterministicAcrossRuns) {
+TEST(PacketNet, DeterministicAcrossRuns) {
   auto run_once = [](std::uint64_t seed) {
-    DumbbellNet net(1000.0, 0.010, 50.0, AqmKind::kRed, seed);
-    net.add_flow(0.005, std::make_unique<RenoCca>());
-    net.add_flow(0.007, std::make_unique<RenoCca>());
+    PacketNet net(seed);
+    net.add_link(1000.0, 0.010, 50.0, AqmKind::kRed);
+    net.add_flow(0.005, {0}, std::make_unique<RenoCca>());
+    net.add_flow(0.007, {0}, std::make_unique<RenoCca>());
     net.run(2.0);
     return std::make_pair(net.flow(0).stats().data_sent,
-                          net.bottleneck().stats().dropped);
+                          net.link(0).stats().dropped);
   };
   EXPECT_EQ(run_once(42), run_once(42));
   // Different seeds: RED randomness differs (drops almost surely diverge).
   EXPECT_NE(run_once(42).second, run_once(43).second);
 }
 
-TEST(DumbbellNet, TraceRowsCoverTheRun) {
-  DumbbellNet net(1000.0, 0.010, 100.0, AqmKind::kDropTail, 7, 0.05);
-  net.add_flow(0.005, std::make_unique<RenoCca>());
+TEST(PacketNet, TraceRowsCoverTheRun) {
+  PacketNet net(7, 0.05);
+  net.add_link(1000.0, 0.010, 100.0, AqmKind::kDropTail);
+  net.add_flow(0.005, {0}, std::make_unique<RenoCca>());
   net.run(2.0);
   const auto& trace = net.trace();
   EXPECT_NEAR(static_cast<double>(trace.rows.size()), 40.0, 2.0);
@@ -414,11 +389,12 @@ TEST(DumbbellNet, TraceRowsCoverTheRun) {
   }
 }
 
-TEST(DumbbellNet, SecondRunKeepsSampling) {
+TEST(PacketNet, SecondRunKeepsSampling) {
   // run(1) then run(1) samples at the same times as one run(2).
   auto row_times = [](std::initializer_list<double> runs) {
-    DumbbellNet net(1000.0, 0.010, 100.0, AqmKind::kDropTail, 7, 0.05);
-    net.add_flow(0.005, std::make_unique<RenoCca>());
+    PacketNet net(7, 0.05);
+    net.add_link(1000.0, 0.010, 100.0, AqmKind::kDropTail);
+    net.add_flow(0.005, {0}, std::make_unique<RenoCca>());
     for (const double duration : runs) net.run(duration);
     std::vector<double> times;
     for (const auto& row : net.trace().rows) times.push_back(row.t);
@@ -430,10 +406,11 @@ TEST(DumbbellNet, SecondRunKeepsSampling) {
   EXPECT_EQ(split, once);
 }
 
-TEST(DumbbellNet, AggregateMetricsSanity) {
-  DumbbellNet net(1000.0, 0.010, 30.0, AqmKind::kDropTail, 7);
-  net.add_flow(0.005, std::make_unique<RenoCca>());
-  net.add_flow(0.006, std::make_unique<RenoCca>());
+TEST(PacketNet, AggregateMetricsSanity) {
+  PacketNet net(7);
+  net.add_link(1000.0, 0.010, 30.0, AqmKind::kDropTail);
+  net.add_flow(0.005, {0}, std::make_unique<RenoCca>());
+  net.add_flow(0.006, {0}, std::make_unique<RenoCca>());
   net.run(4.0);
   const auto m = net.aggregate_metrics();
   EXPECT_GT(m.jain, 0.5);
@@ -446,12 +423,22 @@ TEST(DumbbellNet, AggregateMetricsSanity) {
   EXPECT_EQ(m.mean_rate_pps.size(), 2u);
 }
 
-TEST(DumbbellNet, ValidatesUsage) {
-  DumbbellNet net(1000.0, 0.01, 10.0, AqmKind::kDropTail);
+TEST(PacketNet, ValidatesUsage) {
+  EXPECT_THROW(PacketNet(7, 0.0), PreconditionError);  // no sample interval
+  PacketNet net(7);
+  EXPECT_THROW(net.add_link(1000.0, 0.01, 0.5, AqmKind::kDropTail),
+               PreconditionError);  // buffer below one packet
   EXPECT_THROW(net.run(1.0), PreconditionError);  // no flows
-  net.add_flow(0.005, std::make_unique<RenoCca>());
+  const auto l0 = net.add_link(1000.0, 0.01, 10.0, AqmKind::kDropTail);
+  EXPECT_THROW(net.add_flow(0.005, {l0 + 5}, std::make_unique<RenoCca>()),
+               PreconditionError);  // unknown link
+  EXPECT_THROW(net.add_flow(0.005, {}, std::make_unique<RenoCca>()),
+               PreconditionError);  // empty path
+  net.add_flow(0.005, {l0}, std::make_unique<RenoCca>());
   net.run(0.5);
-  EXPECT_THROW(net.add_flow(0.005, std::make_unique<RenoCca>()),
+  EXPECT_THROW(net.add_flow(0.005, {l0}, std::make_unique<RenoCca>()),
+               PreconditionError);  // after start
+  EXPECT_THROW(net.add_link(1000.0, 0.01, 10.0, AqmKind::kDropTail),
                PreconditionError);  // after start
 }
 
@@ -480,36 +467,39 @@ TEST(WindowedFilter, TracksBruteForceMaxWithinWindowBounds) {
   }
 }
 
-TEST(DumbbellNet, InOrderDeliveryWithoutLoss) {
+TEST(PacketNet, InOrderDeliveryWithoutLoss) {
   // FIFO property: with no drops, a single flow's packets reach the
   // receiver in send order, so the receiver never buffers out-of-order
   // data and delivered == received.
-  DumbbellNet net(1000.0, 0.010, 10000.0, AqmKind::kDropTail, 7);
-  net.add_flow(0.005, std::make_unique<FixedWindowCca>(15.0));
+  PacketNet net(7);
+  net.add_link(1000.0, 0.010, 10000.0, AqmKind::kDropTail);
+  net.add_flow(0.005, {0}, std::make_unique<FixedWindowCca>(15.0));
   net.run(2.0);
   const auto s = net.flow(0).stats();
-  EXPECT_EQ(net.bottleneck().stats().dropped, 0);
+  EXPECT_EQ(net.link(0).stats().dropped, 0);
   EXPECT_EQ(s.retransmits, 0);
   EXPECT_EQ(s.delivered + static_cast<std::int64_t>(
                               net.flow(0).inflight_pkts()),
             s.data_sent);
 }
 
-TEST(DumbbellNet, TwoFixedWindowFlowsShareByWindowRatio) {
+TEST(PacketNet, TwoFixedWindowFlowsShareByWindowRatio) {
   // With both flows window-limited far below capacity, throughput follows
   // w/RTT: double the window → double the rate.
-  DumbbellNet net(10000.0, 0.010, 10000.0, AqmKind::kDropTail, 7);
-  net.add_flow(0.005, std::make_unique<FixedWindowCca>(10.0));
-  net.add_flow(0.005, std::make_unique<FixedWindowCca>(20.0));
+  PacketNet net(7);
+  net.add_link(10000.0, 0.010, 10000.0, AqmKind::kDropTail);
+  net.add_flow(0.005, {0}, std::make_unique<FixedWindowCca>(10.0));
+  net.add_flow(0.005, {0}, std::make_unique<FixedWindowCca>(20.0));
   net.run(5.0);
   const auto m = net.aggregate_metrics();
   EXPECT_NEAR(m.mean_rate_pps[1] / m.mean_rate_pps[0], 2.0, 0.15);
 }
 
-TEST(DumbbellNet, StaggeredStartTimes) {
-  DumbbellNet net(1000.0, 0.010, 100.0, AqmKind::kDropTail, 7);
-  net.add_flow(0.005, std::make_unique<RenoCca>(), 0.0);
-  net.add_flow(0.005, std::make_unique<RenoCca>(), 1.0);
+TEST(PacketNet, StaggeredStartTimes) {
+  PacketNet net(7);
+  net.add_link(1000.0, 0.010, 100.0, AqmKind::kDropTail);
+  net.add_flow(0.005, {0}, std::make_unique<RenoCca>(), 0.0);
+  net.add_flow(0.005, {0}, std::make_unique<RenoCca>(), 1.0);
   net.run(2.0);
   // The late flow had half the time → it must have sent notably less.
   EXPECT_LT(net.flow(1).stats().data_sent, net.flow(0).stats().data_sent);

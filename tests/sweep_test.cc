@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "sweep/runner.h"
 #include "sweep/sweep.h"
 #include "sweep/thread_pool.h"
+#include "sweep/workloads.h"
 
 namespace bbrmodel::sweep {
 namespace {
@@ -559,6 +561,52 @@ TEST(Runner, BuiltInsAreNamedAndDispatch) {
                 tiny_base().capacity_pps / 4.0, 1e-9);
     ASSERT_EQ(row.metrics.aux.size(), 2u);
   }
+}
+
+TEST(ParkingLotRunner, RowsCarryJainAndLeaveSingleLinkMetricsEmpty) {
+  // A chain of links has no single bottleneck: each row reports the Jain
+  // index of every flow's rate, and empty loss, occupancy, utilization and
+  // jitter cells, on both backends.
+  ParameterGrid grid = tiny_grid();
+  grid.buffers_bdp = {1.0};
+  grid.flow_counts = {3};
+  grid.mixes = {
+      cyclic_mix({scenario::CcaKind::kBbrv1, scenario::CcaKind::kReno})};
+  SweepOptions options;
+  options.runner = parking_lot_runner();
+  const auto result = run_sweep(grid, tiny_base(), options);
+  ASSERT_EQ(result.size(), 2u);
+  ASSERT_EQ(result.failed(), 0u);
+
+  std::ostringstream out;
+  result.write_csv(out);
+  std::istringstream lines(out.str());
+  std::string line;
+  std::getline(lines, line);  // the header
+  const auto header = SweepResult::csv_header();
+  const auto column = [&](const std::string& name) {
+    return static_cast<std::size_t>(
+        std::find(header.begin(), header.end(), name) - header.begin());
+  };
+  std::size_t rows = 0;
+  while (std::getline(lines, line)) {
+    ++rows;
+    std::vector<std::string> cells(1);
+    for (const char c : line) {
+      if (c == ',') {
+        cells.emplace_back();
+      } else {
+        cells.back() += c;
+      }
+    }
+    ASSERT_EQ(cells.size(), header.size()) << line;
+    EXPECT_LT(std::stod(cells[column("jain")]), 1.0) << line;
+    for (const char* empty :
+         {"loss_pct", "occupancy_pct", "utilization_pct", "jitter_ms"}) {
+      EXPECT_EQ(cells[column(empty)], "") << empty << " in " << line;
+    }
+  }
+  EXPECT_EQ(rows, 2u);
 }
 
 TEST(Sweep, TaskIndicesMustStrictlyIncrease) {
