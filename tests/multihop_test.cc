@@ -189,5 +189,22 @@ TEST(PacketNet, Bbrv1LongFlowHoldsShareBetterThanReno) {
   EXPECT_GT(bbr_long, reno_long);
 }
 
+TEST(PacketNet, ValidatesRoutes) {
+  packetsim::PacketNet net(1);
+  EXPECT_THROW(net.run(1.0), PreconditionError);  // no flows
+  const auto l0 =
+      net.add_link(1000.0, 0.005, 50.0, packetsim::AqmKind::kDropTail);
+  const auto l1 =
+      net.add_link(1000.0, 0.005, 50.0, packetsim::AqmKind::kDropTail);
+  EXPECT_THROW(net.add_flow(0.005, {l0, l1 + 5},
+                            std::make_unique<packetsim::RenoCca>()),
+               PreconditionError);  // unknown link
+  EXPECT_THROW(net.add_flow(0.005, {},
+                            std::make_unique<packetsim::RenoCca>()),
+               PreconditionError);  // empty path
+  net.add_flow(0.005, {l0, l1}, std::make_unique<packetsim::RenoCca>());
+  net.run(0.1);
+}
+
 }  // namespace
 }  // namespace bbrmodel
